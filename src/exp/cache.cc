@@ -48,8 +48,13 @@ namespace
  *  jobs key the enumeration knobs (bound/seed/fault/state) and
  *  results gained the coverage fields (vStatesChecked &c.). Run and
  *  Crash keys are unchanged, but the bump keeps a v5 reader from
- *  choking on permute entries in a shared cache dir. */
-constexpr const char *kCodeSalt = "asap-sim-v6";
+ *  choking on permute entries in a shared cache dir.
+ *
+ *  v7: the flat CheckerIndex reports the first violation in
+ *  ascending line / (thread, epoch) / parent order instead of hash
+ *  iteration order, so a verdict message can name a different (equally
+ *  real) violation. Every other verdict field is unchanged. */
+constexpr const char *kCodeSalt = "asap-sim-v7";
 
 /** Age beyond which an abandoned temp file is certainly garbage (no
  *  writer holds an insert open for minutes). */

@@ -460,6 +460,30 @@ runCrashExperiment(const std::string &workload, const SimConfig &cfg,
     return out;
 }
 
+permute::PermuteSnapshot
+capturePermuteSnapshot(System &sys)
+{
+    permute::PermuteSnapshot snap;
+    const SimConfig &cfg = sys.config();
+    for (unsigned i = 0; i < cfg.numMCs; ++i) {
+        MemoryController &mc = sys.mc(i);
+        permute::McSnapshot ms;
+        ms.mc = i;
+        if (const RecoveryPolicy *pol = mc.policy())
+            pol->exportRecords(ms.undos, ms.delays);
+        ms.wpqLines = mc.wpqSnapshot().size();
+        for (const UndoRecordView &u : ms.undos)
+            snap.durableAtCrash[u.line] = mc.durableValue(u.line);
+        for (const DelayRecordView &d : ms.delays)
+            snap.durableAtCrash.emplace(d.line, mc.durableValue(d.line));
+        snap.mcs.push_back(std::move(ms));
+    }
+    for (std::uint16_t t = 0; t < cfg.numCores; ++t)
+        for (std::uint64_t e : sys.model(t).commitInFlightEpochs())
+            snap.inFlight.emplace_back(t, e);
+    return snap;
+}
+
 CrashRunResult
 runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
                      const WorkloadParams &p, Tick crash_tick,
@@ -490,33 +514,10 @@ runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
     for (;;) {
         sysPtr = std::make_unique<System>(runCfg, /*keep_run_log=*/true);
         sysPtr->loadTrace(obtainJobTrace(workload, runCfg, p));
-        snap = permute::PermuteSnapshot{};
-        // Harvest the live persist-path state at the instant of
-        // failure: record views and durable line values are consumed
-        // (erased, drained, rewound) by the canonical crash path that
-        // runs right after this hook.
         System *rawSys = sysPtr.get();
-        SimConfig *rawCfg = &runCfg;
         const std::uint64_t t0 = hostNowNs();
-        sysPtr->crashAt(crash_tick, [&snap, rawSys, rawCfg]() {
-            for (unsigned i = 0; i < rawCfg->numMCs; ++i) {
-                MemoryController &mc = rawSys->mc(i);
-                permute::McSnapshot ms;
-                ms.mc = i;
-                if (const RecoveryPolicy *pol = mc.policy())
-                    pol->exportRecords(ms.undos, ms.delays);
-                ms.wpqLines = mc.wpqSnapshot().size();
-                for (const UndoRecordView &u : ms.undos)
-                    snap.durableAtCrash[u.line] = mc.durableValue(u.line);
-                for (const DelayRecordView &d : ms.delays)
-                    snap.durableAtCrash.emplace(d.line,
-                                                mc.durableValue(d.line));
-                snap.mcs.push_back(std::move(ms));
-            }
-            for (std::uint16_t t = 0; t < rawCfg->numCores; ++t)
-                for (std::uint64_t e :
-                     rawSys->model(t).commitInFlightEpochs())
-                    snap.inFlight.emplace_back(t, e);
+        sysPtr->crashAt(crash_tick, [&snap, rawSys]() {
+            snap = capturePermuteSnapshot(*rawSys);
         });
         simNs = hostNowNs() - t0;
         if (sysPtr->eventQueue().tainted() && runCfg.parDomains > 1) {

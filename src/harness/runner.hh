@@ -239,6 +239,22 @@ CrashRunResult runCrashExperiment(const std::string &workload,
                                   const WorkloadParams &p,
                                   Tick crash_tick);
 
+class System;
+namespace permute
+{
+struct PermuteSnapshot;
+}
+
+/**
+ * Harvest the live persist-path state the permuter enumerates over:
+ * every controller's undo/delay records and the durable value of each
+ * record's line, plus the commit-in-flight epochs. Call it from
+ * System::crashAt's hook, at the instant of failure: the canonical
+ * crash path that runs right after consumes (erases, drains, rewinds)
+ * exactly this state.
+ */
+permute::PermuteSnapshot capturePermuteSnapshot(System &sys);
+
 /** Knobs for one crash-state permutation experiment. */
 struct PermuteSpec
 {

@@ -437,13 +437,23 @@ struct SegmentResult
     std::uint64_t bad = 0;
     bool haveBad = false;
     std::uint64_t minBadMask = 0;
-    std::string minBadMessage;
     /** Distinct image fingerprints, in first-seen order, with their
      *  verdicts (parallel vectors; memo maps fp -> index). */
     std::vector<std::uint64_t> fps;
-    std::vector<std::pair<bool, std::string>> verdicts;
+    std::vector<bool> verdicts;
     FpMemo memo;
 };
+
+/** The overlay holding every effect line's value under @p mask. */
+std::unordered_map<std::uint64_t, std::uint64_t>
+overlayAt(const std::vector<LineEffect> &effects, std::uint64_t mask)
+{
+    std::unordered_map<std::uint64_t, std::uint64_t> overlay;
+    overlay.reserve(effects.size());
+    for (const LineEffect &e : effects)
+        overlay[e.line] = finalValue(e, mask);
+    return overlay;
+}
 
 /**
  * Check plan indices [lo, hi). The walk materializes the first
@@ -451,6 +461,8 @@ struct SegmentResult
  * advances state-to-state touching only the effects of the flipped
  * atoms (one atom per step in Gray order; a handful for sampled
  * plans) — the inverted index maps atom bit -> effect indices.
+ * Only verdicts are recorded here; the caller produces the message of
+ * the lowest bad mask with one full check after the merge.
  */
 void
 runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
@@ -490,35 +502,28 @@ runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
         ++out.checked;
         std::int64_t slot = out.memo.find(fp);
         if (slot < 0) {
-            // Distinct-image miss. The scope proves most consistent
-            // states in O(effects); anything it cannot prove (or any
-            // failure, for the canonical message) goes to the full
-            // check — the overlay is only read there, so patch it to
-            // match cur[] on that path alone.
-            bool ok = scope.usable() &&
-                      scope.consistent(cur, scopeScratch);
-            std::string message;
-            if (!ok) {
+            // Distinct-image miss. A usable scope's verdict is exact
+            // in O(effects); without one, run the full check — the
+            // overlay is only read there, so patch it to match cur[]
+            // on that path alone.
+            bool ok;
+            if (scope.usable()) {
+                ok = scope.consistent(cur, scopeScratch);
+            } else {
                 for (std::size_t i = 0; i < ne; ++i)
                     overlay[effects[i].line] = cur[i];
-                const CheckResult cr =
-                    index.check(view, committed_up_to);
-                ok = cr.ok;
-                message = cr.message;
+                ok = index.check(view, committed_up_to).ok;
             }
             slot = static_cast<std::int64_t>(out.fps.size());
             out.fps.push_back(fp);
-            out.verdicts.emplace_back(ok, std::move(message));
+            out.verdicts.push_back(ok);
             out.memo.insert(fp, static_cast<std::int32_t>(slot));
         }
-        const std::pair<bool, std::string> &verdict =
-            out.verdicts[static_cast<std::size_t>(slot)];
-        if (!verdict.first) {
+        if (!out.verdicts[static_cast<std::size_t>(slot)]) {
             ++out.bad;
             if (!out.haveBad || m < out.minBadMask) {
                 out.haveBad = true;
                 out.minBadMask = m;
-                out.minBadMessage = verdict.second;
             }
         }
     };
@@ -642,25 +647,28 @@ runIncremental(const MaskPlan &plan,
     // first-bad is the lowest bad mask (ties impossible — segments
     // partition the mask set).
     std::unordered_set<std::uint64_t> distinct;
-    bool haveBad = false;
-    std::uint64_t minBad = 0;
-    const std::string *minBadMessage = nullptr;
     for (const SegmentResult &s : segs) {
         rep.statesChecked += s.checked;
         rep.inconsistentStates += s.bad;
         for (std::uint64_t key : s.fps)
             distinct.insert(key);
-        if (s.haveBad && (!haveBad || s.minBadMask < minBad)) {
-            haveBad = true;
-            minBad = s.minBadMask;
-            minBadMessage = &s.minBadMessage;
+        if (s.haveBad &&
+            (!rep.haveFirstBad || s.minBadMask < rep.firstBadMask)) {
+            rep.haveFirstBad = true;
+            rep.firstBadMask = s.minBadMask;
         }
     }
     rep.distinctStates = distinct.size();
-    if (haveBad) {
-        rep.haveFirstBad = true;
-        rep.firstBadMask = minBad;
-        rep.firstBadMessage = *minBadMessage;
+
+    // One full check per job, on the lowest bad mask, for the
+    // canonical message (the same image the naive engine checks).
+    if (rep.haveFirstBad) {
+        const auto overlay = overlayAt(effects, rep.firstBadMask);
+        const CheckResult cr =
+            index->check(NvmView(nvm, overlay), committed_up_to);
+        panic_if(cr.ok, "permute: state ", maskToHex(rep.firstBadMask),
+                 " judged inconsistent but passes the full check");
+        rep.firstBadMessage = cr.message;
     }
 }
 
@@ -775,6 +783,14 @@ deriveAtoms(const PermuteSnapshot &snap, FaultMode fault)
                   return a.line < b.line;
               });
     return atoms;
+}
+
+std::unordered_map<std::uint64_t, std::uint64_t>
+stateOverlay(const PermuteSnapshot &snap, const std::vector<Atom> &atoms,
+             std::uint64_t mask)
+{
+    PermuteReport scratch;
+    return overlayAt(buildEffects(snap, atoms, scratch), mask);
 }
 
 PermuteReport

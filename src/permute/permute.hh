@@ -56,13 +56,14 @@
  *    reflected Gray-code order so consecutive states differ in one
  *    atom; a per-atom inverted index updates only the lines that atom
  *    can touch, and an incrementally maintained XOR fingerprint
- *    replaces the full-image hash. States are checked through a
- *    copy-on-write overlay (NvmView) against a build-once
- *    CheckerIndex, so nothing mutates shared state — which also makes
- *    the loop parallel: the mask space splits into contiguous Gray
- *    segments checked on a ThreadPool and merged deterministically
- *    (counts summed, distinct fingerprints unioned, first-bad = the
- *    numerically lowest bad mask).
+ *    replaces the full-image hash. Each distinct image is judged by a
+ *    CheckScope (exact both ways) over a build-once CheckerIndex, and
+ *    the lowest bad mask gets one full check through a copy-on-write
+ *    overlay (NvmView) for its message, so nothing mutates shared
+ *    state — which also makes the loop parallel: the mask space
+ *    splits into contiguous Gray segments checked on a ThreadPool and
+ *    merged deterministically (counts summed, distinct fingerprints
+ *    unioned, first-bad = the numerically lowest bad mask).
  *
  * First-bad is the lowest bad mask under every engine: exhaustive
  * enumeration is (or covers) ascending order, and sampled mask sets
@@ -182,6 +183,15 @@ struct Atom
  */
 std::vector<Atom> deriveAtoms(const PermuteSnapshot &snap,
                               FaultMode fault);
+
+/**
+ * The value of every record-holding line in the state @p mask selects
+ * over @p atoms — the overlay that state is checked through on top of
+ * the canonical post-crash image.
+ */
+std::unordered_map<std::uint64_t, std::uint64_t>
+stateOverlay(const PermuteSnapshot &snap, const std::vector<Atom> &atoms,
+             std::uint64_t mask);
 
 /** Enumeration limits and repro hooks. */
 struct PermuteOptions

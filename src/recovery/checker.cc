@@ -4,54 +4,276 @@
 #include <atomic>
 #include <deque>
 #include <mutex>
-#include <set>
 #include <sstream>
+#include <tuple>
 
 namespace asap
 {
 
+namespace
+{
+
+/** splitmix64 finalizer: host-independent 64-bit mixer. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/** Per-thread check() scratch, reused across calls and indexes. */
+struct CheckScratch
+{
+    /** Surviving write index per line id (-1: initial contents). */
+    std::vector<std::int32_t> surv;
+    /** Visited stamp per epoch id; == gen means verified this call. */
+    std::vector<std::uint32_t> seen;
+    std::uint32_t gen = 0;
+    std::vector<std::uint32_t> stack;
+};
+
+thread_local CheckScratch tlScratch;
+
+} // namespace
+
 CheckerIndex::CheckerIndex(const RunLog &log)
 {
-    // Per line, writes in retirement order (token -> index).
-    for (const RunLog::StoreRecord &s : log.allStores())
-        lineWrites[s.line].push_back(s);
-    for (auto &[line, ws] : lineWrites) {
-        std::sort(ws.begin(), ws.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.seq < b.seq;
-                  });
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            if (tokenIndex.count(ws[i].value)) {
+    const std::vector<RunLog::StoreRecord> &stores = log.allStores();
+    const std::vector<RunLog::DepEdge> &edges = log.allEdges();
+
+    // Epoch ids: every epoch that wrote or appears in an edge, in
+    // (thread, epoch) order. Bucketing by thread first keeps the sorts
+    // cheap: a thread's stores arrive in program order, so its list is
+    // ascending but for the few edge endpoints appended after them.
+    std::vector<std::vector<std::uint64_t>> byThread;
+    auto note = [&byThread](std::uint16_t t, std::uint64_t ts) {
+        if (t >= byThread.size())
+            byThread.resize(std::size_t(t) + 1);
+        std::vector<std::uint64_t> &v = byThread[t];
+        if (v.empty() || v.back() != ts)
+            v.push_back(ts);
+    };
+    for (const RunLog::StoreRecord &s : stores)
+        note(s.thread, s.epoch);
+    for (const RunLog::DepEdge &e : edges) {
+        note(e.thread, e.epoch);
+        note(e.srcThread, e.srcEpoch);
+    }
+    threadBegin_.assign(byThread.size() + 1, 0);
+    for (std::size_t t = 0; t < byThread.size(); ++t) {
+        std::vector<std::uint64_t> &v = byThread[t];
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+        threadBegin_[t + 1] =
+            threadBegin_[t] + static_cast<std::uint32_t>(v.size());
+        epochTs_.insert(epochTs_.end(), v.begin(), v.end());
+        epochThread_.insert(epochThread_.end(), v.size(),
+                            static_cast<std::uint16_t>(t));
+    }
+    const std::size_t ne = epochTs_.size();
+    auto epochId = [this](std::uint16_t t, std::uint64_t ts) {
+        const auto first = epochTs_.begin() + threadBegin_[t];
+        const auto last = epochTs_.begin() + threadBegin_[t + 1];
+        return static_cast<std::uint32_t>(
+            std::lower_bound(first, last, ts) - epochTs_.begin());
+    };
+
+    // Line ids in address order.
+    lineAddr_.reserve(stores.size());
+    for (const RunLog::StoreRecord &s : stores)
+        lineAddr_.push_back(s.line);
+    std::sort(lineAddr_.begin(), lineAddr_.end());
+    lineAddr_.erase(std::unique(lineAddr_.begin(), lineAddr_.end()),
+                    lineAddr_.end());
+    const std::size_t nl = lineAddr_.size();
+
+    // Each line's writes in retirement order: one stable bucket pass
+    // by line id over the stores in seq order. A log appended in
+    // retirement order needs no sort; any other is sorted by seq and
+    // then every other field, so equal seqs still give one layout.
+    std::vector<std::uint32_t> order(stores.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<std::uint32_t>(i);
+    auto bySeq = [&stores](std::uint32_t a, std::uint32_t b) {
+        const RunLog::StoreRecord &x = stores[a];
+        const RunLog::StoreRecord &y = stores[b];
+        return std::tie(x.seq, x.line, x.thread, x.epoch, x.value) <
+               std::tie(y.seq, y.line, y.thread, y.epoch, y.value);
+    };
+    if (!std::is_sorted(order.begin(), order.end(), bySeq))
+        std::sort(order.begin(), order.end(), bySeq);
+    std::vector<std::uint32_t> lineOf(stores.size());
+    writeBegin_.assign(nl + 1, 0);
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+        lineOf[i] = lineIdOf(stores[i].line);
+        ++writeBegin_[lineOf[i] + 1];
+    }
+    for (std::size_t l = 1; l <= nl; ++l)
+        writeBegin_[l] += writeBegin_[l - 1];
+    writeEpoch_.resize(stores.size());
+    std::vector<std::uint64_t> token(stores.size());
+    {
+        std::vector<std::uint32_t> at(writeBegin_.begin(),
+                                      writeBegin_.end() - 1);
+        for (std::uint32_t i : order) {
+            const std::uint32_t w = at[lineOf[i]]++;
+            writeEpoch_[w] = epochId(stores[i].thread, stores[i].epoch);
+            token[w] = stores[i].value;
+        }
+    }
+
+    // Token table at load <= 1/2; the first duplicate in line order
+    // becomes the build message.
+    std::size_t cap = 16;
+    while (cap < 2 * token.size())
+        cap <<= 1;
+    tokKeys_.assign(cap, 0);
+    tokVals_.assign(cap, TokenPos{});
+    tokMask_ = cap - 1;
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        for (std::uint32_t w = writeBegin_[l]; w < writeBegin_[l + 1];
+             ++w) {
+            std::size_t i = mix64(token[w]) & tokMask_;
+            while (tokVals_[i].line != kNoLine && tokKeys_[i] != token[w])
+                i = (i + 1) & tokMask_;
+            if (tokVals_[i].line != kNoLine) {
                 if (buildOk) {
                     std::ostringstream os;
-                    os << "duplicate store token " << ws[i].value;
+                    os << "duplicate store token " << token[w];
                     buildOk = false;
                     buildMessage = os.str();
                 }
                 continue;
             }
-            tokenIndex[ws[i].value] = {line, i};
+            tokKeys_[i] = token[w];
+            tokVals_[i] = {l, w - writeBegin_[l]};
         }
     }
 
-    // Epoch nodes: every epoch that wrote or appears in an edge.
-    for (auto &[line, ws] : lineWrites) {
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            EpochNode &n = nodes[{ws[i].thread, ws[i].epoch}];
-            n.lastWrite[line] = i; // ascending i: last one sticks
+    // Spans: bucket writes by epoch (line-major, ascending index
+    // within a line), then keep each (epoch, line)'s last index.
+    std::vector<std::uint32_t> fill(ne + 1, 0);
+    for (std::uint32_t e : writeEpoch_)
+        ++fill[e + 1];
+    for (std::size_t e = 1; e <= ne; ++e)
+        fill[e] += fill[e - 1];
+    const std::vector<std::uint32_t> bucketBegin = fill;
+    std::vector<Span> bucket(writeEpoch_.size());
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        for (std::uint32_t w = writeBegin_[l]; w < writeBegin_[l + 1];
+             ++w)
+            bucket[fill[writeEpoch_[w]]++] = {l, w - writeBegin_[l]};
+    }
+    spanBegin_.reserve(ne + 1);
+    spans_.reserve(bucket.size());
+    for (std::size_t e = 0; e < ne; ++e) {
+        spanBegin_.push_back(static_cast<std::uint32_t>(spans_.size()));
+        for (std::uint32_t k = bucketBegin[e]; k < bucketBegin[e + 1];
+             ++k) {
+            if (spans_.size() > spanBegin_.back() &&
+                spans_.back().line == bucket[k].line)
+                spans_.back().lastIdx = bucket[k].lastIdx;
+            else
+                spans_.push_back(bucket[k]);
         }
     }
-    for (const RunLog::DepEdge &e : log.allEdges()) {
-        nodes[{e.thread, e.epoch}].depParents.push_back(
-            {e.srcThread, e.srcEpoch});
-        nodes.try_emplace({e.srcThread, e.srcEpoch});
-    }
+    spanBegin_.push_back(static_cast<std::uint32_t>(spans_.size()));
 
-    // Per-thread sorted epoch lists for same-thread predecessor walks.
-    for (const auto &[key, node] : nodes)
-        byThread[key.first].push_back(key.second);
-    for (auto &[t, v] : byThread)
-        std::sort(v.begin(), v.end());
+    // Parents: same-thread predecessor plus cross-thread sources,
+    // bucketed by child, then sorted and deduplicated per child.
+    std::vector<std::uint32_t> rawBegin(ne + 1, 0);
+    for (std::uint32_t e = 1; e < ne; ++e) {
+        if (epochThread_[e - 1] == epochThread_[e])
+            ++rawBegin[e + 1];
+    }
+    for (const RunLog::DepEdge &d : edges)
+        ++rawBegin[epochId(d.thread, d.epoch) + 1];
+    for (std::size_t e = 1; e <= ne; ++e)
+        rawBegin[e] += rawBegin[e - 1];
+    std::vector<std::uint32_t> raw(rawBegin[ne]);
+    {
+        std::vector<std::uint32_t> at(rawBegin.begin(), rawBegin.end() - 1);
+        for (std::uint32_t e = 1; e < ne; ++e) {
+            if (epochThread_[e - 1] == epochThread_[e])
+                raw[at[e]++] = e - 1;
+        }
+        for (const RunLog::DepEdge &d : edges)
+            raw[at[epochId(d.thread, d.epoch)]++] =
+                epochId(d.srcThread, d.srcEpoch);
+    }
+    parentBegin_.reserve(ne + 1);
+    parents_.reserve(raw.size());
+    for (std::size_t c = 0; c < ne; ++c) {
+        parentBegin_.push_back(static_cast<std::uint32_t>(parents_.size()));
+        const auto first = raw.begin() + rawBegin[c];
+        const auto last = raw.begin() + rawBegin[c + 1];
+        std::sort(first, last);
+        parents_.insert(parents_.end(), first, std::unique(first, last));
+    }
+    parentBegin_.push_back(static_cast<std::uint32_t>(parents_.size()));
+
+    // Topological order (Kahn, ascending ids first): parents precede
+    // children. A cycle leaves some epochs out.
+    std::vector<std::uint32_t> childBegin(ne + 1, 0);
+    for (std::uint32_t p : parents_)
+        ++childBegin[p + 1];
+    for (std::size_t e = 1; e <= ne; ++e)
+        childBegin[e] += childBegin[e - 1];
+    std::vector<std::uint32_t> children(parents_.size());
+    {
+        std::vector<std::uint32_t> at(childBegin.begin(),
+                                      childBegin.end() - 1);
+        for (std::uint32_t c = 0; c < ne; ++c) {
+            for (std::uint32_t k = parentBegin_[c];
+                 k < parentBegin_[c + 1]; ++k)
+                children[at[parents_[k]]++] = c;
+        }
+    }
+    std::vector<std::uint32_t> indeg(ne);
+    topo_.reserve(ne);
+    for (std::uint32_t e = 0; e < ne; ++e) {
+        indeg[e] = parentBegin_[e + 1] - parentBegin_[e];
+        if (indeg[e] == 0)
+            topo_.push_back(e);
+    }
+    for (std::size_t head = 0; head < topo_.size(); ++head) {
+        const std::uint32_t p = topo_[head];
+        for (std::uint32_t k = childBegin[p]; k < childBegin[p + 1]; ++k) {
+            if (--indeg[children[k]] == 0)
+                topo_.push_back(children[k]);
+        }
+    }
+    cyclic_ = topo_.size() != ne;
+}
+
+const CheckerIndex::TokenPos *
+CheckerIndex::findToken(std::uint64_t token) const
+{
+    std::size_t i = mix64(token) & tokMask_;
+    while (tokVals_[i].line != kNoLine) {
+        if (tokKeys_[i] == token)
+            return &tokVals_[i];
+        i = (i + 1) & tokMask_;
+    }
+    return nullptr;
+}
+
+std::uint32_t
+CheckerIndex::lineIdOf(std::uint64_t addr) const
+{
+    auto it = std::lower_bound(lineAddr_.begin(), lineAddr_.end(), addr);
+    if (it == lineAddr_.end() || *it != addr)
+        return kNoLine;
+    return static_cast<std::uint32_t>(it - lineAddr_.begin());
+}
+
+std::pair<std::uint32_t, std::uint32_t>
+CheckerIndex::threadEpochs(std::size_t t) const
+{
+    if (t + 1 >= threadBegin_.size())
+        return {0, 0};
+    return {threadBegin_[t], threadBegin_[t + 1]};
 }
 
 CheckResult
@@ -68,45 +290,42 @@ CheckerIndex::check(const NvmView &view,
     if (!buildOk)
         return fail(buildMessage);
 
+    CheckScratch &sc = tlScratch;
+
     // --- surviving index per line ----------------------------------------
     // -1 means "no recorded write survived" (initial contents).
-    std::unordered_map<std::uint64_t, std::ptrdiff_t> survived;
-    survived.reserve(lineWrites.size());
-    for (const auto &[line, ws] : lineWrites) {
-        const std::uint64_t v = view.read(line);
+    std::vector<std::int32_t> &surv = sc.surv;
+    surv.resize(numLines());
+    for (std::uint32_t l = 0; l < numLines(); ++l) {
+        const std::uint64_t v = view.read(lineAddr_[l]);
         if (v == 0) {
-            survived[line] = -1;
+            surv[l] = -1;
             continue;
         }
-        auto it = tokenIndex.find(v);
-        if (it == tokenIndex.end() || it->second.first != line) {
+        const TokenPos *pos = findToken(v);
+        if (!pos || pos->line != l) {
             std::ostringstream os;
-            os << "line " << line << " holds alien value " << v;
+            os << "line " << lineAddr_[l] << " holds alien value " << v;
             return fail(os.str());
         }
-        survived[line] =
-            static_cast<std::ptrdiff_t>(it->second.second);
+        surv[l] = static_cast<std::int32_t>(pos->idx);
     }
 
     // --- checks ------------------------------------------------------------
     // An epoch is "fully visible" if, for every line it wrote, the
     // surviving write index is >= the epoch's last write index.
-    auto epochVisible = [&](const Key &k, std::string *why) {
-        auto nit = nodes.find(k);
-        if (nit == nodes.end())
-            return true; // wrote nothing
-        for (const auto &[line, idx] : nit->second.lastWrite) {
-            auto sit = survived.find(line);
-            const std::ptrdiff_t got =
-                sit == survived.end() ? -1 : sit->second;
-            if (got < static_cast<std::ptrdiff_t>(idx)) {
-                if (why) {
-                    std::ostringstream os;
-                    os << "epoch (t" << k.first << ",e" << k.second
-                       << ") write idx " << idx << " to line " << line
-                       << " not durable (surviving idx " << got << ")";
-                    *why = os.str();
-                }
+    auto epochVisible = [&](std::uint32_t e, std::string &why) {
+        for (std::uint32_t k = spanBegin_[e]; k < spanBegin_[e + 1];
+             ++k) {
+            const Span &sp = spans_[k];
+            if (surv[sp.line] < static_cast<std::int32_t>(sp.lastIdx)) {
+                std::ostringstream os;
+                os << "epoch (t" << epochThread_[e] << ",e"
+                   << epochTs_[e] << ") write idx " << sp.lastIdx
+                   << " to line " << lineAddr_[sp.line]
+                   << " not durable (surviving idx " << surv[sp.line]
+                   << ")";
+                why = os.str();
                 return false;
             }
         }
@@ -114,77 +333,70 @@ CheckerIndex::check(const NvmView &view,
     };
 
     // Walk ancestors of a seed epoch, verifying visibility of every
-    // strict ancestor. The verified set depends on `survived`, so it
-    // is per-check scratch — never shared across states.
-    std::set<Key> verified;
-    auto verifyAncestors = [&](Key seed, std::string *why) {
-        std::vector<Key> work;
-        auto push_parents = [&](const Key &k) {
-            // Same-thread predecessor (largest logged ts < k.ts).
-            auto bit = byThread.find(k.first);
-            if (bit != byThread.end()) {
-                const auto &v = bit->second;
-                auto it = std::lower_bound(v.begin(), v.end(), k.second);
-                if (it != v.begin())
-                    work.push_back({k.first, *std::prev(it)});
-            }
-            // Cross-thread parents attached exactly to k.
-            auto nit = nodes.find(k);
-            if (nit != nodes.end()) {
-                for (const Key &p : nit->second.depParents)
-                    work.push_back(p);
-            }
+    // strict ancestor. Stamps mark epochs verified visible (with all
+    // their ancestors) during this call only: they depend on surv.
+    if (sc.seen.size() < numEpochs())
+        sc.seen.resize(numEpochs(), 0);
+    if (++sc.gen == 0) {
+        std::fill(sc.seen.begin(), sc.seen.end(), 0);
+        sc.gen = 1;
+    }
+    const std::uint32_t gen = sc.gen;
+    std::vector<std::uint32_t> &stack = sc.stack;
+    auto verifyAncestors = [&](std::uint32_t seed, std::string &why) {
+        auto pushParents = [&](std::uint32_t e) {
+            stack.insert(stack.end(), parents_.begin() + parentBegin_[e],
+                         parents_.begin() + parentBegin_[e + 1]);
         };
-        push_parents(seed);
-        while (!work.empty()) {
-            Key k = work.back();
-            work.pop_back();
-            if (verified.count(k))
+        stack.clear();
+        pushParents(seed);
+        while (!stack.empty()) {
+            const std::uint32_t e = stack.back();
+            stack.pop_back();
+            if (sc.seen[e] == gen)
                 continue;
-            verified.insert(k);
-            if (!epochVisible(k, why))
+            sc.seen[e] = gen;
+            if (!epochVisible(e, why))
                 return false;
-            push_parents(k);
+            pushParents(e);
         }
         return true;
     };
 
-    // Check 1: prefix closure for every surviving value's epoch.
-    for (const auto &[line, idx] : survived) {
-        if (idx < 0)
+    std::string why;
+    // Check 1: prefix closure for every surviving value's epoch, in
+    // ascending line order.
+    for (std::uint32_t l = 0; l < numLines(); ++l) {
+        if (surv[l] < 0)
             continue;
-        const RunLog::StoreRecord &w =
-            lineWrites.at(line)[static_cast<std::size_t>(idx)];
-        std::string why;
-        if (!verifyAncestors({w.thread, w.epoch}, &why)) {
+        const std::uint32_t e = writeEpoch_[writeBegin_[l] +
+                                            static_cast<std::uint32_t>(
+                                                surv[l])];
+        if (!verifyAncestors(e, why)) {
             std::ostringstream os;
-            os << "surviving value on line " << line << " (epoch t"
-               << w.thread << ",e" << w.epoch
+            os << "surviving value on line " << lineAddr_[l]
+               << " (epoch t" << epochThread_[e] << ",e" << epochTs_[e]
                << ") has a non-durable ancestor: " << why;
             return fail(os.str());
         }
     }
 
     // Check 2: committed epochs are fully durable, including their
-    // ancestors.
-    for (std::uint16_t t = 0;
-         t < static_cast<std::uint16_t>(committed_up_to.size()); ++t) {
-        auto bit = byThread.find(t);
-        if (bit == byThread.end())
-            continue;
-        for (std::uint64_t ts : bit->second) {
-            if (ts > committed_up_to[t])
+    // ancestors, in (thread, epoch) order.
+    for (std::size_t t = 0; t < committed_up_to.size(); ++t) {
+        const auto [first, last] = threadEpochs(t);
+        for (std::uint32_t e = first; e < last; ++e) {
+            if (epochTs_[e] > committed_up_to[t])
                 break;
-            std::string why;
-            if (!epochVisible({t, ts}, &why)) {
+            if (!epochVisible(e, why)) {
                 std::ostringstream os;
-                os << "committed epoch (t" << t << ",e" << ts
+                os << "committed epoch (t" << t << ",e" << epochTs_[e]
                    << ") lost a write: " << why;
                 return fail(os.str());
             }
-            if (!verifyAncestors({t, ts}, &why)) {
+            if (!verifyAncestors(e, why)) {
                 std::ostringstream os;
-                os << "committed epoch (t" << t << ",e" << ts
+                os << "committed epoch (t" << t << ",e" << epochTs_[e]
                    << ") has a non-durable ancestor: " << why;
                 return fail(os.str());
             }
@@ -200,209 +412,152 @@ CheckScope::CheckScope(std::shared_ptr<const CheckerIndex> index,
                        const std::vector<std::uint64_t> &variable_lines)
     : index_(std::move(index))
 {
-    using Key = CheckerIndex::Key;
     const CheckerIndex &ix = *index_;
     if (!ix.buildOk) {
-        // Every check fails with the build message; the full-check
-        // fallback reproduces it.
+        // Every check fails with the build message.
         constantFail_ = true;
         usable_ = true;
         return;
     }
+    const std::size_t nl = ix.numLines();
+    const std::size_t ne = ix.numEpochs();
 
     // Slot table. Duplicate variable lines would make "the value of
     // line L" ambiguous — bail rather than guess.
-    std::unordered_map<std::uint64_t, std::uint32_t> varSlot;
+    {
+        std::vector<std::uint64_t> sorted = variable_lines;
+        std::sort(sorted.begin(), sorted.end());
+        if (std::adjacent_find(sorted.begin(), sorted.end()) !=
+            sorted.end())
+            return;
+    }
+    std::vector<std::int32_t> slotOf(nl, -1);
     slots_.resize(variable_lines.size());
     for (std::size_t i = 0; i < variable_lines.size(); ++i) {
-        slots_[i].line = variable_lines[i];
-        slots_[i].logged = ix.lineWrites.count(variable_lines[i]) != 0;
-        if (!varSlot
-                 .emplace(variable_lines[i],
-                          static_cast<std::uint32_t>(i))
-                 .second) {
-            return;
-        }
+        slots_[i].lineId = ix.lineIdOf(variable_lines[i]);
+        if (slots_[i].lineId != CheckerIndex::kNoLine)
+            slotOf[slots_[i].lineId] = static_cast<std::int32_t>(i);
     }
 
     // Base surviving index per fixed line. A fixed alien value fails
     // every state, whatever the variable lines hold.
-    std::unordered_map<std::uint64_t, std::ptrdiff_t> survBase;
-    survBase.reserve(ix.lineWrites.size());
-    for (const auto &[line, ws] : ix.lineWrites) {
-        (void)ws;
-        if (varSlot.count(line))
+    std::vector<std::int32_t> survBase(nl, -1);
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        if (slotOf[l] >= 0)
             continue;
-        const std::uint64_t v = base.read(line);
-        if (v == 0) {
-            survBase[line] = -1;
+        const std::uint64_t v = base.read(ix.lineAddr_[l]);
+        if (v == 0)
             continue;
-        }
-        auto it = ix.tokenIndex.find(v);
-        if (it == ix.tokenIndex.end() || it->second.first != line) {
+        const CheckerIndex::TokenPos *pos = ix.findToken(v);
+        if (!pos || pos->line != l) {
             constantFail_ = true;
             usable_ = true;
             return;
         }
-        survBase[line] =
-            static_cast<std::ptrdiff_t>(it->second.second);
+        survBase[l] = static_cast<std::int32_t>(pos->idx);
     }
 
-    // Variable epochs, in deterministic (thread, epoch) order.
-    std::map<Key, std::uint32_t> varEpochId;
-    for (const auto &[k, node] : ix.nodes) {
-        for (const auto &[line, idx] : node.lastWrite) {
-            (void)idx;
-            if (varSlot.count(line)) {
-                varEpochId.emplace(k, 0);
+    // Variable epochs (writing a variable line) in id order, i.e.
+    // (thread, epoch) order; base visibility of every other epoch.
+    auto spansOf = [&ix](std::uint32_t e) {
+        return std::make_pair(ix.spans_.begin() + ix.spanBegin_[e],
+                              ix.spans_.begin() + ix.spanBegin_[e + 1]);
+    };
+    std::vector<std::uint64_t> varBit(ne, 0);
+    for (std::uint32_t e = 0; e < ne; ++e) {
+        const auto [b, end] = spansOf(e);
+        for (auto it = b; it != end; ++it) {
+            if (slotOf[it->line] >= 0) {
+                if (varEpochs_.size() == 64)
+                    return; // too many to encode in a mask
+                varBit[e] = 1ULL << varEpochs_.size();
+                varEpochs_.emplace_back();
                 break;
             }
         }
     }
-    if (varEpochId.size() > 64)
-        return;
-    {
-        std::uint32_t next = 0;
-        for (auto &[k, id] : varEpochId) {
-            (void)k;
-            id = next++;
-        }
-    }
-    varEpochs_.resize(varEpochId.size());
-    for (const auto &[k, id] : varEpochId) {
-        VarEpoch &ve = varEpochs_[id];
-        for (const auto &[line, idx] : ix.nodes.at(k).lastWrite) {
-            auto vs = varSlot.find(line);
-            if (vs != varSlot.end()) {
-                ve.need.push_back({vs->second, idx});
-            } else if (survBase.at(line) <
-                       static_cast<std::ptrdiff_t>(idx)) {
-                ve.neverVisible = true;
+    std::vector<bool> visBase(ne, true);
+    for (std::uint32_t e = 0, var = 0; e < ne; ++e) {
+        const auto [b, end] = spansOf(e);
+        VarEpoch *ve = varBit[e] ? &varEpochs_[var++] : nullptr;
+        for (auto it = b; it != end; ++it) {
+            const std::int32_t need =
+                static_cast<std::int32_t>(it->lastIdx);
+            if (ve && slotOf[it->line] >= 0) {
+                ve->need.emplace_back(
+                    static_cast<std::uint32_t>(slotOf[it->line]),
+                    it->lastIdx);
+            } else if (survBase[it->line] < need) {
+                if (ve)
+                    ve->neverVisible = true;
+                else
+                    visBase[e] = false;
             }
         }
     }
+    if (ix.cyclic_)
+        return; // no topological order to propagate along
 
-    // Dense node ids (std::map order: deterministic), parent lists,
-    // and base visibility of every fixed epoch.
-    std::map<Key, std::uint32_t> nodeId;
-    for (const auto &[k, node] : ix.nodes) {
-        (void)node;
-        nodeId.emplace(k, static_cast<std::uint32_t>(nodeId.size()));
-    }
-    const std::size_t nn = nodeId.size();
-    std::vector<std::vector<std::uint32_t>> parents(nn);
-    std::vector<bool> visBase(nn, true);
-    std::vector<std::uint64_t> varBit(nn, 0);
-    for (const auto &[k, id] : nodeId) {
-        const CheckerIndex::EpochNode &node = ix.nodes.at(k);
-        auto bit = ix.byThread.find(k.first);
-        if (bit != ix.byThread.end()) {
-            const auto &v = bit->second;
-            auto it =
-                std::lower_bound(v.begin(), v.end(), k.second);
-            if (it != v.begin())
-                parents[id].push_back(
-                    nodeId.at({k.first, *std::prev(it)}));
-        }
-        for (const Key &p : node.depParents)
-            parents[id].push_back(nodeId.at(p));
-
-        auto vit = varEpochId.find(k);
-        if (vit != varEpochId.end()) {
-            varBit[id] = 1ULL << vit->second;
-        } else {
-            for (const auto &[line, idx] : node.lastWrite) {
-                if (survBase.at(line) <
-                    static_cast<std::ptrdiff_t>(idx)) {
-                    visBase[id] = false;
-                    break;
-                }
-            }
-        }
-    }
-
-    // One topological pass propagates, per node, whether a strict
-    // ancestor is a non-visible fixed epoch (ancBad) and which
-    // variable epochs are strict ancestors (anc mask).
-    std::vector<std::vector<std::uint32_t>> children(nn);
-    for (std::uint32_t c = 0; c < nn; ++c) {
-        for (std::uint32_t p : parents[c])
-            children[p].push_back(c);
-    }
-    std::vector<std::uint32_t> indeg(nn, 0);
-    for (std::uint32_t c = 0; c < nn; ++c)
-        indeg[c] = static_cast<std::uint32_t>(parents[c].size());
-    std::vector<std::uint32_t> queue;
-    queue.reserve(nn);
-    for (std::uint32_t c = 0; c < nn; ++c) {
-        if (indeg[c] == 0)
-            queue.push_back(c);
-    }
-    std::vector<std::uint64_t> anc(nn, 0);
-    std::vector<bool> ancBad(nn, false);
-    std::size_t head = 0;
-    while (head < queue.size()) {
-        const std::uint32_t p = queue[head++];
-        for (std::uint32_t c : children[p]) {
+    // One pass over the topological order propagates, per epoch,
+    // whether a strict ancestor is a non-visible fixed epoch (ancBad)
+    // and which variable epochs are strict ancestors (anc mask).
+    std::vector<std::uint64_t> anc(ne, 0);
+    std::vector<bool> ancBad(ne, false);
+    auto badFixed = [&](std::uint32_t e) {
+        return varBit[e] == 0 && !visBase[e];
+    };
+    for (std::uint32_t c : ix.topo_) {
+        for (std::uint32_t k = ix.parentBegin_[c];
+             k < ix.parentBegin_[c + 1]; ++k) {
+            const std::uint32_t p = ix.parents_[k];
             anc[c] |= anc[p] | varBit[p];
-            if (ancBad[p] || (varBit[p] == 0 && !visBase[p]))
+            if (ancBad[p] || badFixed(p))
                 ancBad[c] = true;
-            if (--indeg[c] == 0)
-                queue.push_back(c);
         }
     }
-    if (head != nn)
-        return; // dependency cycle: no safe topological order
 
     // Static fail sources: committed epochs (Check 2) and fixed
     // lines' surviving epochs (Check 1). A fixed violation is a
     // constant fail; variable ancestors accumulate into the mask of
     // epochs every consistent state must keep visible.
-    for (std::uint16_t t = 0;
-         t < static_cast<std::uint16_t>(committed_up_to.size()); ++t) {
-        auto bit = ix.byThread.find(t);
-        if (bit == ix.byThread.end())
-            continue;
-        for (std::uint64_t ts : bit->second) {
-            if (ts > committed_up_to[t])
+    for (std::size_t t = 0; t < committed_up_to.size(); ++t) {
+        const auto [first, last] = ix.threadEpochs(t);
+        for (std::uint32_t e = first; e < last; ++e) {
+            if (ix.epochTs_[e] > committed_up_to[t])
                 break;
-            const std::uint32_t id = nodeId.at({t, ts});
-            if (ancBad[id] || (varBit[id] == 0 && !visBase[id])) {
+            if (ancBad[e] || badFixed(e)) {
                 constantFail_ = true;
                 usable_ = true;
                 return;
             }
-            staticBadMask_ |= anc[id] | varBit[id];
+            staticBadMask_ |= anc[e] | varBit[e];
         }
     }
-    for (const auto &[line, ws] : ix.lineWrites) {
-        if (varSlot.count(line))
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        if (slotOf[l] >= 0 || survBase[l] < 0)
             continue;
-        const std::ptrdiff_t idx = survBase.at(line);
-        if (idx < 0)
-            continue;
-        const RunLog::StoreRecord &w =
-            ws[static_cast<std::size_t>(idx)];
-        const std::uint32_t id = nodeId.at({w.thread, w.epoch});
-        if (ancBad[id]) {
+        const std::uint32_t e =
+            ix.writeEpoch_[ix.writeBegin_[l] +
+                           static_cast<std::uint32_t>(survBase[l])];
+        if (ancBad[e]) {
             constantFail_ = true;
             usable_ = true;
             return;
         }
-        staticBadMask_ |= anc[id];
+        staticBadMask_ |= anc[e];
     }
 
     // Per-slot seed tables: ancestor facts for every write that can
     // survive on a variable line.
     for (Slot &s : slots_) {
-        if (!s.logged)
+        if (s.lineId == CheckerIndex::kNoLine)
             continue;
-        const auto &ws = ix.lineWrites.at(s.line);
-        s.seed.resize(ws.size());
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const std::uint32_t id =
-                nodeId.at({ws[i].thread, ws[i].epoch});
-            s.seed[i] = {ancBad[id], anc[id]};
+        const std::uint32_t w0 = ix.writeBegin_[s.lineId];
+        const std::uint32_t w1 = ix.writeBegin_[s.lineId + 1];
+        s.seed.resize(w1 - w0);
+        for (std::uint32_t w = w0; w < w1; ++w) {
+            const std::uint32_t e = ix.writeEpoch_[w];
+            s.seed[w - w0] = {ancBad[e], anc[e]};
         }
     }
     usable_ = true;
@@ -416,22 +571,19 @@ CheckScope::consistent(const std::vector<std::uint64_t> &values,
         return false;
     const CheckerIndex &ix = *index_;
 
-    // Surviving write index per variable line (alien value: not
-    // fast-provable, let the full check produce the message).
+    // Surviving write index per variable line (an alien value fails
+    // the full check too).
     scratch.surv.assign(slots_.size(), -1);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].logged)
+        if (slots_[i].lineId == CheckerIndex::kNoLine)
             continue; // the checker never reads this line
         const std::uint64_t v = values[i];
         if (v == 0)
             continue;
-        auto it = ix.tokenIndex.find(v);
-        if (it == ix.tokenIndex.end() ||
-            it->second.first != slots_[i].line) {
+        const CheckerIndex::TokenPos *pos = ix.findToken(v);
+        if (!pos || pos->line != slots_[i].lineId)
             return false;
-        }
-        scratch.surv[i] =
-            static_cast<std::ptrdiff_t>(it->second.second);
+        scratch.surv[i] = static_cast<std::ptrdiff_t>(pos->idx);
     }
 
     // Visibility of the variable epochs under this state.
@@ -486,9 +638,11 @@ checkCrashConsistency(const RunLog &log, const NvmContents &nvm,
 namespace
 {
 
-/** 128-bit content hash of a RunLog: two independent FNV-1a streams
- *  over every store and edge field. The index is a pure function of
- *  this content, so the hash is a safe memo key. */
+/** 128-bit content hash of a RunLog: two independent streams over
+ *  every store and edge field, one 64-bit word per step (multiply
+ *  then xor-shift, so high input bits reach the low state bits). The
+ *  index is a pure function of this content, so the hash is a safe
+ *  memo key. */
 struct LogFingerprint
 {
     std::uint64_t a = 14695981039346656037ULL;
@@ -497,13 +651,10 @@ struct LogFingerprint
     void
     mix(std::uint64_t v)
     {
-        constexpr std::uint64_t kPrimeA = 1099511628211ULL;
-        constexpr std::uint64_t kPrimeB = 0x100000001b3ULL ^ 0x9e37;
-        for (unsigned i = 0; i < 8; ++i) {
-            const std::uint64_t byte = (v >> (i * 8)) & 0xff;
-            a = (a ^ byte) * kPrimeA;
-            b = (b ^ (byte + 0x9e)) * kPrimeB;
-        }
+        a = (a ^ v) * 0x9e3779b97f4a7c15ULL;
+        a ^= a >> 32;
+        b = (b + v) * 0xc2b2ae3d27d4eb4fULL;
+        b ^= b >> 29;
     }
 
     bool
@@ -534,10 +685,13 @@ fingerprintLog(const RunLog &log)
     return fp;
 }
 
+/** One memoised log. The first caller builds under @c mu; callers
+ *  arriving meanwhile wait on it instead of building again. */
 struct IndexCacheEntry
 {
     LogFingerprint key;
-    std::shared_ptr<const CheckerIndex> index;
+    std::mutex mu;
+    std::shared_ptr<const CheckerIndex> index; //!< null until built
 };
 
 /** Logs alive at once are few (one per in-flight experiment); a small
@@ -545,7 +699,7 @@ struct IndexCacheEntry
 constexpr std::size_t kIndexCacheCap = 16;
 
 std::mutex gIndexMu;
-std::deque<IndexCacheEntry> gIndexCache;
+std::deque<std::shared_ptr<IndexCacheEntry>> gIndexCache;
 std::atomic<std::uint64_t> gIndexBuilds{0};
 std::atomic<std::uint64_t> gIndexHits{0};
 
@@ -555,26 +709,33 @@ std::shared_ptr<const CheckerIndex>
 sharedCheckerIndex(const RunLog &log)
 {
     const LogFingerprint key = fingerprintLog(log);
+    std::shared_ptr<IndexCacheEntry> entry;
     {
         std::lock_guard<std::mutex> lock(gIndexMu);
-        for (const IndexCacheEntry &e : gIndexCache) {
-            if (e.key == key) {
-                gIndexHits.fetch_add(1, std::memory_order_relaxed);
-                return e.index;
+        for (const std::shared_ptr<IndexCacheEntry> &e : gIndexCache) {
+            if (e->key == key) {
+                entry = e;
+                break;
             }
         }
+        if (!entry) {
+            entry = std::make_shared<IndexCacheEntry>();
+            entry->key = key;
+            gIndexCache.push_back(entry);
+            while (gIndexCache.size() > kIndexCacheCap)
+                gIndexCache.pop_front();
+        }
     }
-    // Build outside the lock: concurrent misses on the same log may
-    // build twice, but never block each other behind a sort.
-    auto index = std::make_shared<const CheckerIndex>(log);
+    // Build under the entry's own lock: other logs never wait behind
+    // this sort, and a concurrent miss on this log waits, then hits.
+    std::lock_guard<std::mutex> lock(entry->mu);
+    if (entry->index) {
+        gIndexHits.fetch_add(1, std::memory_order_relaxed);
+        return entry->index;
+    }
+    entry->index = std::make_shared<const CheckerIndex>(log);
     gIndexBuilds.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(gIndexMu);
-        gIndexCache.push_back({key, index});
-        while (gIndexCache.size() > kIndexCacheCap)
-            gIndexCache.pop_front();
-    }
-    return index;
+    return entry->index;
 }
 
 CheckerIndexStats

@@ -31,10 +31,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/nvm_contents.hh"
@@ -92,12 +92,29 @@ class NvmView
 /**
  * Build-once index of a RunLog for repeated consistency checks.
  *
- * Construction does every log-shaped part of the check: sorts each
- * line's writes into retirement order, indexes store tokens (flagging
- * duplicates), and assembles the epoch dependency graph. check() then
- * runs only the state-shaped part — surviving-write resolution and
- * the prefix-closure / committed-durability walks — against any
- * NvmView. check() is const and allocates only per-call scratch, so
+ * Construction does every log-shaped part of the check and lays the
+ * result out flat, on dense ids fixed at build time:
+ *
+ *  - lines are numbered in ascending address order, each with its
+ *    writes in retirement (seq) order;
+ *  - epochs are numbered in (thread, epoch) order, so one thread's
+ *    epochs are a contiguous id range;
+ *  - each epoch carries a span of (line id, last write index) pairs,
+ *    ascending by line id, and a CSR parent list (the same-thread
+ *    predecessor plus every cross-thread source, ascending, deduped);
+ *  - one open-addressed table maps a store token to its (line id,
+ *    write index), flagging duplicate tokens;
+ *  - a topological order of the epochs, with a cycle flag, comes from
+ *    the log alone.
+ *
+ * check() then runs only the state-shaped part — surviving-write
+ * resolution and the prefix-closure / committed-durability walks —
+ * against any NvmView, on per-thread scratch arrays (a survived-index
+ * array and a generation-stamped visited array) reused across calls.
+ * Check 1 walks surviving lines in ascending line order and Check 2
+ * walks epochs in (thread, epoch) order, so the first violation
+ * reported is a pure function of the log's contents and the image —
+ * not of record append order or hash-table layout. check() is const;
  * one index may serve many threads concurrently.
  */
 class CheckerIndex
@@ -111,30 +128,61 @@ class CheckerIndex
           const std::vector<std::uint64_t> &committed_up_to) const;
 
   private:
-    /** Ordered epoch key: (thread, epoch timestamp). */
-    using Key = std::pair<std::uint16_t, std::uint64_t>;
+    /** Marks "no such line" / an empty token-table slot. */
+    static constexpr std::uint32_t kNoLine = ~std::uint32_t(0);
 
-    struct EpochNode
+    /** Where a store token lives: (line id, index into its writes). */
+    struct TokenPos
     {
-        /** Per-line index (into that line's write list) of this
-         *  epoch's last write to the line. */
-        std::unordered_map<std::uint64_t, std::size_t> lastWrite;
-        /** Direct cross-thread parents. */
-        std::vector<Key> depParents;
+        std::uint32_t line = kNoLine;
+        std::uint32_t idx = 0;
     };
 
-    /** Per line, writes in retirement order. */
-    std::unordered_map<std::uint64_t, std::vector<RunLog::StoreRecord>>
-        lineWrites;
-    /** token -> (line, index into that line's write list). */
-    std::unordered_map<std::uint64_t,
-                       std::pair<std::uint64_t, std::size_t>>
-        tokenIndex;
-    /** Every epoch that wrote or appears in an edge. */
-    std::map<Key, EpochNode> nodes;
-    /** Per-thread sorted epoch lists for predecessor walks. */
-    std::unordered_map<std::uint16_t, std::vector<std::uint64_t>>
-        byThread;
+    /** An epoch's last write to one line. */
+    struct Span
+    {
+        std::uint32_t line;
+        std::uint32_t lastIdx;
+    };
+
+    /** Token position, or nullptr for a value no store wrote. */
+    const TokenPos *findToken(std::uint64_t token) const;
+    /** Dense id of a line address, or kNoLine when never written. */
+    std::uint32_t lineIdOf(std::uint64_t addr) const;
+    /** Epoch ids [first, last) of thread @p t (empty if unknown). */
+    std::pair<std::uint32_t, std::uint32_t>
+    threadEpochs(std::size_t t) const;
+
+    std::size_t numLines() const { return lineAddr_.size(); }
+    std::size_t numEpochs() const { return epochTs_.size(); }
+
+    /** Line id -> address, ascending. */
+    std::vector<std::uint64_t> lineAddr_;
+    /** CSR: line id -> its writes in writeEpoch_, retirement order. */
+    std::vector<std::uint32_t> writeBegin_;
+    /** Writer epoch id of every write. */
+    std::vector<std::uint32_t> writeEpoch_;
+
+    /** Epoch id -> (thread, epoch timestamp). */
+    std::vector<std::uint16_t> epochThread_;
+    std::vector<std::uint64_t> epochTs_;
+    /** Thread t's epoch ids are [threadBegin_[t], threadBegin_[t+1]). */
+    std::vector<std::uint32_t> threadBegin_;
+    /** CSR: epoch id -> direct parents. */
+    std::vector<std::uint32_t> parentBegin_;
+    std::vector<std::uint32_t> parents_;
+    /** CSR: epoch id -> (line id, last write index) spans. */
+    std::vector<std::uint32_t> spanBegin_;
+    std::vector<Span> spans_;
+    /** Epoch ids, parents before children (partial if cyclic_). */
+    std::vector<std::uint32_t> topo_;
+    bool cyclic_ = false;
+
+    /** Open-addressed token table (power-of-two capacity). */
+    std::vector<std::uint64_t> tokKeys_;
+    std::vector<TokenPos> tokVals_;
+    std::size_t tokMask_ = 0;
+
     /** Log defect found at build time (duplicate store token); every
      *  check() fails with it. */
     bool buildOk = true;
@@ -147,12 +195,13 @@ class CheckerIndex
  * Delta-check oracle for many states that differ from one base image
  * only on a known set of *variable lines* (the permuter's effect
  * table). Everything the checker derives from fixed lines is constant
- * across those states, so construction resolves it once:
+ * across those states, so construction resolves it once, on the
+ * index's own dense ids and topological order:
  *
  *  - base surviving-write indices and alien detection for every fixed
  *    line (a fixed-line violation fails every state: constant fail);
  *  - visibility of every epoch that writes no variable line;
- *  - per epoch, via one topological pass over the dependency DAG,
+ *  - per epoch, via one pass over the index's topological order,
  *    whether a non-visible fixed epoch is a strict ancestor
  *    (constant fail when a committed epoch or fixed surviving value
  *    depends on one) and the bitmask of *variable* epochs — those
@@ -161,10 +210,11 @@ class CheckerIndex
  * consistent() then answers the boolean verdict in O(variable lines +
  * variable epochs): resolve the surviving index of each variable
  * line, evaluate only the variable epochs' visibility, and test the
- * precomputed ancestor masks. `true` is exact (the full check would
- * pass); `false` means "not fast-provable" — callers re-run
- * CheckerIndex::check() for the authoritative verdict and canonical
- * message, so the fallback path can never diverge from the checker.
+ * precomputed ancestor masks. The verdict is exact both ways: true
+ * iff CheckerIndex::check() passes on the same image (an alien
+ * variable value is a false the full check also reports). Callers
+ * need the full check only for the message of a failing state
+ * (tests/test_checker.cc and the permute differential test pin this).
  *
  * The scope bails (usable() == false) on structures it cannot encode:
  * more than 64 variable epochs, duplicate variable lines, or a cycle
@@ -189,8 +239,8 @@ class CheckScope
     bool usable() const { return usable_; }
 
     /**
-     * Exact fast verdict for one state. @p values holds the current
-     * value of each variable line, aligned with the constructor's
+     * Exact verdict for one state. @p values holds the current value
+     * of each variable line, aligned with the constructor's
      * variable_lines. Returns true iff the full check would pass.
      */
     bool consistent(const std::vector<std::uint64_t> &values,
@@ -204,7 +254,7 @@ class CheckScope
          *  image: the epoch is invisible in every state. */
         bool neverVisible = false;
         /** (variable-line slot, required surviving index) pairs. */
-        std::vector<std::pair<std::uint32_t, std::size_t>> need;
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> need;
     };
 
     /** Ancestor facts of one potential surviving-value epoch. */
@@ -217,8 +267,8 @@ class CheckScope
     /** One variable line. */
     struct Slot
     {
-        std::uint64_t line = 0;
-        bool logged = false; //!< false: checker never reads this line
+        /** Index line id; kNoLine: the checker never reads this line. */
+        std::uint32_t lineId = CheckerIndex::kNoLine;
         std::vector<SeedInfo> seed; //!< per write index of the line
     };
 
@@ -253,7 +303,9 @@ CheckResult checkCrashConsistency(
  * a Crash job and a Permute job probing the same tick, a campaign
  * verdict repeated after its probe — shares one build. Self-keying by
  * content means no configuration rendering can drift out of sync with
- * what actually shapes the log. Entries are capped (oldest evicted);
+ * what actually shapes the log. Concurrent misses on one log wait on
+ * that entry's build rather than building twice, so builds equal the
+ * number of distinct logs seen. Entries are capped (oldest evicted);
  * the shared_ptr keeps an evicted index alive for holders.
  */
 std::shared_ptr<const CheckerIndex>
@@ -263,7 +315,7 @@ sharedCheckerIndex(const RunLog &log);
 struct CheckerIndexStats
 {
     std::uint64_t builds = 0; //!< indexes built (memo misses)
-    std::uint64_t hits = 0;   //!< checks served an existing index
+    std::uint64_t hits = 0;   //!< lookups served an existing entry
 };
 
 /** Snapshot of the process-wide shared-index counters. */

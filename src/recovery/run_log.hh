@@ -62,6 +62,16 @@ class RunLog
                                      value});
     }
 
+    /** Append a store recorded elsewhere, keeping its seq (rebuilds
+     *  a log from its records, in any order). */
+    void
+    appendStore(const StoreRecord &s)
+    {
+        stores.push_back(s);
+        if (s.seq >= nextSeq)
+            nextSeq = s.seq + 1;
+    }
+
     void
     recordEdge(std::uint16_t thread, std::uint64_t epoch,
                std::uint16_t src_thread, std::uint64_t src_epoch)

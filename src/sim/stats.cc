@@ -193,11 +193,4 @@ StatSet::dump() const
     return os.str();
 }
 
-void
-StatSet::reset()
-{
-    counters.clear();
-    dists.clear();
-}
-
 } // namespace asap

@@ -153,8 +153,8 @@ class StatSet
      * Handle to counter @p name (created at zero). std::map node
      * references are stable, so components fetch their hot counters
      * once at construction and bump through the reference instead of
-     * paying a string compare chain per event. Invalidated only by
-     * reset().
+     * paying a string compare chain per event. Valid for the StatSet's
+     * lifetime.
      */
     std::uint64_t &
     counter(const std::string &name)
@@ -205,9 +205,6 @@ class StatSet
 
     /** Render all stats as a gem5-style text block. */
     std::string dump() const;
-
-    /** Clear every counter and distribution. */
-    void reset();
 
   private:
     std::map<std::string, std::uint64_t> counters;

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <unordered_set>
 
+#include "harness/system.hh"
 #include "mem/nvm_contents.hh"
 #include "recovery/checker.hh"
 #include "recovery/run_log.hh"
+#include "workloads/registry.hh"
 
 namespace asap
 {
@@ -272,6 +276,78 @@ TEST_F(CheckerFixture, TornLineValueIsAlien)
     CheckResult r = check();
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.message.find("alien"), std::string::npos);
+}
+
+// --- layout independence: the verdict is a function of the log's
+// --- records, not of the order they were appended in.
+
+TEST(CheckerOrder, ShuffledLogGivesIdenticalVerdicts)
+{
+    // A real crashed run: thousands of stores, cross-thread edges.
+    SimConfig cfg;
+    cfg.model = ModelKind::Asap;
+    cfg.persistency = PersistencyModel::Release;
+    cfg.numCores = 4;
+    WorkloadParams p;
+    p.opsPerThread = 60;
+    p.seed = 7;
+    System sys(cfg, /*keep_run_log=*/true);
+    sys.loadTrace(buildTrace("queue", cfg.numCores, p));
+    sys.crashAt(30000);
+    const RunLog &log = sys.runLog();
+    const std::vector<std::uint64_t> committed = sys.committedUpTo();
+    ASSERT_GT(log.allStores().size(), 100u);
+    ASSERT_FALSE(log.allEdges().empty());
+
+    // Same records (same seqs), appended in a shuffled order.
+    std::mt19937_64 rng(42);
+    std::vector<RunLog::StoreRecord> stores = log.allStores();
+    std::vector<RunLog::DepEdge> edges = log.allEdges();
+    std::shuffle(stores.begin(), stores.end(), rng);
+    std::shuffle(edges.begin(), edges.end(), rng);
+    RunLog shuffled;
+    for (const RunLog::StoreRecord &s : stores)
+        shuffled.appendStore(s);
+    for (const RunLog::DepEdge &e : edges)
+        shuffled.recordEdge(e.thread, e.epoch, e.srcThread, e.srcEpoch);
+
+    const CheckerIndex a(log);
+    const CheckerIndex b(shuffled);
+
+    // Images with many simultaneous violations, where the choice of
+    // the reported one is what could depend on layout: every k-th
+    // logged line lost (or rolled back to its first write), and one
+    // alien value on top.
+    std::vector<std::uint64_t> lines;
+    std::unordered_map<std::uint64_t, std::uint64_t> firstToken;
+    for (const RunLog::StoreRecord &s : log.allStores()) {
+        if (firstToken.emplace(s.line, s.value).second)
+            lines.push_back(s.line);
+    }
+    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> images(1);
+    for (std::size_t k : {2u, 3u, 5u, 7u}) {
+        std::unordered_map<std::uint64_t, std::uint64_t> lost, old;
+        for (std::size_t i = 0; i < lines.size(); i += k) {
+            lost[lines[i]] = 0;
+            old[lines[i]] = firstToken[lines[i]];
+        }
+        images.push_back(lost);
+        images.push_back(old);
+    }
+    images.push_back(images[1]);
+    images.back()[lines.back()] = ~0ULL; // alien
+    images.back()[lines.front()] = ~1ULL; // alien
+
+    unsigned failing = 0;
+    for (const auto &overlay : images) {
+        const NvmView view(sys.nvm(), overlay);
+        const CheckResult ra = a.check(view, committed);
+        const CheckResult rb = b.check(view, committed);
+        EXPECT_EQ(ra.ok, rb.ok);
+        EXPECT_EQ(ra.message, rb.message);
+        failing += !ra.ok;
+    }
+    EXPECT_GE(failing, 5u) << "images should exercise violations";
 }
 
 } // namespace

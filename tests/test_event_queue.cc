@@ -217,11 +217,17 @@ TEST(EventQueueAlloc, WarmRunLimitWindowsAreAllocationFree)
 
 // --------------------------------------------------------------------
 // Global operator-new hook: counts every heap allocation in the test
-// binary so the EventQueueAlloc tests can assert a zero delta. Only
-// the unaligned overloads are replaced (paired with their deletes);
-// the malloc forwarding keeps sanitizer interceptors in the loop.
+// binary so the EventQueueAlloc tests can assert a zero delta. The
+// unaligned overloads are replaced, throwing and nothrow, with their
+// deletes: the library frees nothrow memory (std::stable_partition's
+// temporary buffer) through the sized delete, so a nothrow new left
+// to the sanitizer runtime would be freed by the wrong allocator.
+// The malloc forwarding keeps sanitizer interceptors in the loop. All
+// of them stay out of line: inlined into a caller, GCC would pair the
+// malloc()/free() inside with the caller's new/delete and warn of a
+// mismatched allocation.
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
@@ -230,7 +236,7 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
@@ -239,25 +245,39 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

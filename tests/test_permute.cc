@@ -9,17 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
+#include <thread>
 
 #include "exp/cache.hh"
 #include "exp/crash_campaign.hh"
 #include "exp/emit.hh"
 #include "exp/engine.hh"
+#include "harness/system.hh"
 #include "permute/permute.hh"
 #include "recovery/checker.hh"
 #include "sim/log.hh"
 #include "svc/wire.hh"
+#include "workloads/registry.hh"
 
 namespace asap
 {
@@ -219,8 +223,8 @@ TEST(PermuteCore, EngineParse)
     EXPECT_TRUE(permute::parsePermuteEngine("incremental", e));
     EXPECT_EQ(e, permute::Engine::Incremental);
     EXPECT_FALSE(permute::parsePermuteEngine("bogus", e));
-    EXPECT_EQ(permute::toString(permute::Engine::Naive), "naive");
-    EXPECT_EQ(permute::toString(permute::Engine::Incremental),
+    EXPECT_STREQ(permute::toString(permute::Engine::Naive), "naive");
+    EXPECT_STREQ(permute::toString(permute::Engine::Incremental),
               "incremental");
 }
 
@@ -294,6 +298,120 @@ TEST(PermuteEngines, CrashAndPermuteShareOneCheckerIndex)
     EXPECT_EQ(stats.builds, 1u);
     EXPECT_GE(stats.hits, 1u);
     clearCheckerIndexCache();
+}
+
+TEST(PermuteEngines, RacingCrashAndPermuteBuildOneIndex)
+{
+    setLogQuiet(true);
+    // Same as above, but the two jobs run at once: a miss that finds
+    // the build in flight waits for it instead of building again.
+    SimConfig cfg;
+    cfg.model = ModelKind::Asap;
+    cfg.persistency = PersistencyModel::Release;
+    cfg.numCores = 4;
+    clearCheckerIndexCache();
+    std::thread crash([&cfg] {
+        (void)runCrashExperiment("queue", cfg, tinyParams(), 20000);
+    });
+    PermuteSpec spec;
+    (void)runPermuteExperiment("queue", cfg, tinyParams(), 20000, spec);
+    crash.join();
+    const CheckerIndexStats stats = checkerIndexStats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    clearCheckerIndexCache();
+}
+
+/**
+ * The permuter takes a usable CheckScope's verdict as final and runs
+ * the full check only for the first bad state's message, so the scope
+ * must be exact both ways. Differential check on real permute points
+ * (asap/hops x ep/rp, exhaustive plans): on every state, the scope's
+ * verdict equals CheckerIndex::check().
+ */
+void
+expectScopeMatchesFullCheck(permute::FaultMode fault)
+{
+    setLogQuiet(true);
+    const ModelPair models[] = {
+        {ModelKind::Asap, PersistencyModel::Epoch},
+        {ModelKind::Asap, PersistencyModel::Release},
+        {ModelKind::Hops, PersistencyModel::Epoch},
+        {ModelKind::Hops, PersistencyModel::Release},
+    };
+    WorkloadParams params = tinyParams();
+    params.opsPerThread = 100;
+    std::uint64_t points = 0, states = 0, bad = 0;
+    for (const char *workload : {"queue", "memcached", "p-art"})
+    for (const ModelPair &m : models) {
+        SimConfig cfg;
+        cfg.model = m.first;
+        cfg.persistency = m.second;
+        cfg.numCores = 4;
+        const TraceSet trace = buildTrace(workload, cfg.numCores, params);
+        System probe(cfg);
+        probe.loadTrace(trace);
+        probe.run();
+        constexpr Tick kPoints = 16;
+        for (Tick i = 1; i <= kPoints; ++i) {
+            const Tick t = probe.runTicks() * i / (kPoints + 1);
+            System sys(cfg, /*keep_run_log=*/true);
+            sys.loadTrace(trace);
+            permute::PermuteSnapshot snap;
+            sys.crashAt(t, [&] { snap = capturePermuteSnapshot(sys); });
+            const std::vector<permute::Atom> atoms =
+                permute::deriveAtoms(snap, fault);
+            if (atoms.size() > 12)
+                continue; // keep every plan exhaustive and small
+            const auto index =
+                std::make_shared<const CheckerIndex>(sys.runLog());
+            const std::vector<std::uint64_t> committed =
+                sys.committedUpTo();
+            std::vector<std::uint64_t> lines;
+            for (const auto &[line, value] :
+                 permute::stateOverlay(snap, atoms, 0)) {
+                (void)value;
+                lines.push_back(line);
+            }
+            std::sort(lines.begin(), lines.end());
+            const CheckScope scope(index, sys.nvm(), committed, lines);
+            if (!scope.usable())
+                continue;
+            ++points;
+            CheckScope::Scratch scratch;
+            std::vector<std::uint64_t> values(lines.size());
+            for (std::uint64_t mask = 0; mask < (1ULL << atoms.size());
+                 ++mask) {
+                const auto overlay =
+                    permute::stateOverlay(snap, atoms, mask);
+                for (std::size_t i = 0; i < lines.size(); ++i)
+                    values[i] = overlay.at(lines[i]);
+                const CheckResult full =
+                    index->check(NvmView(sys.nvm(), overlay), committed);
+                ASSERT_EQ(scope.consistent(values, scratch), full.ok)
+                    << workload << " " << toString(m.first) << "/"
+                    << toString(m.second) << " @ " << t << " state "
+                    << permute::maskToHex(mask) << ": " << full.message;
+                ++states;
+                bad += !full.ok;
+            }
+        }
+    }
+    EXPECT_GE(points, 150u);
+    EXPECT_GT(states, points) << "no point had more than one state";
+    if (fault == permute::FaultMode::DropUndo) {
+        EXPECT_GT(bad, 0u) << "drop-undo should reach bad states";
+    }
+}
+
+TEST(PermuteScope, ExactOnRealPermutePoints)
+{
+    expectScopeMatchesFullCheck(permute::FaultMode::None);
+}
+
+TEST(PermuteScope, ExactOnRealPermutePointsWithDropUndoFault)
+{
+    expectScopeMatchesFullCheck(permute::FaultMode::DropUndo);
 }
 
 TEST(PermuteEngines, ParityAcrossModels)

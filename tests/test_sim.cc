@@ -258,16 +258,6 @@ TEST(Stats, DumpContainsEntries)
     EXPECT_NE(text.find("occ::mean"), std::string::npos);
 }
 
-TEST(Stats, ResetClears)
-{
-    StatSet s;
-    s.inc("a");
-    s.dist("d").sample(1);
-    s.reset();
-    EXPECT_EQ(s.get("a"), 0u);
-    EXPECT_FALSE(s.hasDist("d"));
-}
-
 // ---------------------------------------------------------------- config
 
 TEST(Config, DefaultsMatchTableII)
