@@ -8,9 +8,6 @@
  *   --workload W   restrict to one workload (default: all)
  *   --media P      NVM media profile (default: paper-table2)
  *   --jobs N       parallel simulations (default: hardware threads)
- *   --par-domains N  intra-run parallel event kernel domains
- *                  (default 1 = sequential; results are bit-identical)
- *   --par-spec-window T  speculative lookahead in ticks (default 0)
  *   --json PATH    write the sweep's raw results as JSON (.csv: CSV)
  *   --progress     rate-limited progress/ETA lines on stderr
  *   --profile      host-time phase breakdown on stderr after the run
@@ -65,8 +62,6 @@ struct BenchArgs
     std::string workload; //!< empty = all
     std::string media = kDefaultMediaProfile; //!< media profile
     unsigned jobs = 0;    //!< sweep workers; 0 = hardware default
-    unsigned parDomains = 1; //!< intra-run event kernel domains
-    std::uint64_t parSpecWindow = 0; //!< spec lookahead (ticks)
     std::string jsonPath; //!< empty = no artifact
     bool progress = false; //!< stderr progress/ETA lines
     bool profile = false;  //!< stderr host-time phase breakdown
@@ -115,16 +110,6 @@ struct BenchArgs
                        i + 1 < argc) {
                 a.jobs = static_cast<unsigned>(
                     std::strtoul(argv[++i], nullptr, 0));
-            } else if (!std::strcmp(argv[i], "--par-domains") &&
-                       i + 1 < argc) {
-                a.parDomains = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 0));
-                if (a.parDomains == 0)
-                    a.parDomains = 1;
-            } else if (!std::strcmp(argv[i], "--par-spec-window") &&
-                       i + 1 < argc) {
-                a.parSpecWindow =
-                    std::strtoull(argv[++i], nullptr, 0);
             } else if (!std::strcmp(argv[i], "--json") &&
                        i + 1 < argc) {
                 a.jsonPath = argv[++i];
@@ -153,7 +138,6 @@ struct BenchArgs
                 std::fprintf(stderr,
                              "usage: %s [--ops N] [--seed S] "
                              "[--workload W] [--media P] [--jobs N] "
-                             "[--par-domains N] [--par-spec-window T] "
                              "[--json PATH] [--progress] [--profile] "
                              "[--list-media] [--list-workloads] "
                              "[--daemon SOCKET] "
@@ -195,8 +179,6 @@ struct BenchArgs
     {
         SimConfig cfg;
         cfg.mediaProfile = media;
-        cfg.parDomains = parDomains;
-        cfg.parSpecWindow = parSpecWindow;
         return cfg;
     }
 
@@ -294,17 +276,6 @@ printHostProfile()
                  sec(hp.traceGenNs), sec(hp.traceLoadNs),
                  sec(hp.simulateNs), sec(hp.checkNs),
                  static_cast<unsigned long long>(hp.simRuns));
-    if (hp.parRounds || hp.serialRounds || hp.taintRestarts) {
-        std::fprintf(stderr,
-                     "[profile] kernel: %llu parallel rounds, "
-                     "%llu serial rounds, %llu misspeculations, "
-                     "%llu rollbacks, %llu taint restarts\n",
-                     static_cast<unsigned long long>(hp.parRounds),
-                     static_cast<unsigned long long>(hp.serialRounds),
-                     static_cast<unsigned long long>(hp.misspeculations),
-                     static_cast<unsigned long long>(hp.rollbacks),
-                     static_cast<unsigned long long>(hp.taintRestarts));
-    }
 }
 
 inline void

@@ -47,8 +47,6 @@ struct PermuteArgs
     std::uint64_t tickSeed = 1;
     unsigned cores = 4;
     std::string models = "asap_ep,asap_rp"; //!< comma-separated
-    unsigned parDomains = 1;        //!< intra-run kernel parallelism
-    std::uint64_t parSpecWindow = 0; //!< speculative window (ticks)
 
     std::uint64_t bound = 4096;   //!< max states checked per point
     std::uint64_t sampleSeed = 1; //!< sampling seed above the bound
@@ -83,8 +81,7 @@ usage(const char *argv0)
         "m1_pm1,m2_pm2,...]\n"
         "          [--bound N] [--sample-seed S] [--inject-fault F]\n"
         "          [--engine E] [--permute-jobs N]\n"
-        "          [--progress] [--daemon SOCKET] "
-        "[--par-domains N] [--par-spec-window T]\n"
+        "          [--progress] [--daemon SOCKET]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
@@ -193,11 +190,6 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
         }
-        else if (!std::strcmp(arg, "--par-domains"))
-            a.parDomains =
-                unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
-        else if (!std::strcmp(arg, "--par-spec-window"))
-            a.parSpecWindow = std::strtoull(need(i), nullptr, 0), ++i;
         else if (!std::strcmp(arg, "--repro"))
             a.repro = true;
         else if (!std::strcmp(arg, "--model"))
@@ -308,8 +300,6 @@ runRepro(const PermuteArgs &a)
     cfg.persistency = parsePersistencyModel(a.pm);
     cfg.numCores = a.cores;
     cfg.seed = a.seed;
-    cfg.parDomains = a.parDomains;
-    cfg.parSpecWindow = a.parSpecWindow;
 
     JobSet set;
     set.addPermute(a.workload, cfg, paramsFor(a), a.crashTick,
@@ -346,8 +336,6 @@ runPermuteCampaign(const PermuteArgs &a, const BenchArgs &emitArgs)
     spec.coreCounts = {a.cores};
     spec.params = paramsFor(a);
     spec.base.mediaProfile = a.media;
-    spec.base.parDomains = a.parDomains;
-    spec.base.parSpecWindow = a.parSpecWindow;
     spec.strategy = parseTickStrategy(a.strategy);
     spec.ticksPerConfig = a.ticks;
     spec.tickSeed = a.tickSeed;

@@ -46,7 +46,7 @@ usage(const char *argv0)
         "          [--models m1_pm1,...] [--cores N] [--mcs N]\n"
         "          [--keyspace N] [--update-pct P] [--media P]\n"
         "          [--media-per-mc p1,p2,...]\n"
-        "          [--jobs N] [--par-domains N] [--json PATH]\n"
+        "          [--jobs N] [--json PATH]\n"
         "          [--progress] [--profile] [--daemon SOCKET]\n"
         "          [--list-scenarios] [--list-media]\n"
         "          [--shard i/n [--claim] [--salt S] "
@@ -132,16 +132,6 @@ parseArgs(int argc, char **argv)
             a.mediaPerMc = need(i), ++i;
         else if (!std::strcmp(arg, "--jobs"))
             a.bench.jobs = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
-        else if (!std::strcmp(arg, "--par-domains")) {
-            a.bench.parDomains =
-                unsigned(std::strtoul(need(i), nullptr, 0));
-            if (a.bench.parDomains == 0)
-                a.bench.parDomains = 1;
-            ++i;
-        } else if (!std::strcmp(arg, "--par-spec-window"))
-            a.bench.parSpecWindow =
-                std::strtoull(need(i), nullptr, 0),
             ++i;
         else if (!std::strcmp(arg, "--json"))
             a.bench.jsonPath = need(i), ++i;

@@ -1,20 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate BENCH_kernel.json: the event-kernel throughput record,
-# including the domain-parallel scaling curve (committed as the seed
-# machine's numbers; regenerate on your own hardware with this
-# script).
-#
-# Two passes over the same workload x model grid:
-#   conservative  --par-spec-window 0   pure lookahead windows
-#   speculative   --par-spec-window 64  MC domains bet past their
-#                                       bound; misspec/rollback
-#                                       columns count the failures
-#
-# Simulated results are bit-identical across the whole axis (tests
-# and scripts/check.sh enforce that); only host throughput varies.
-# On hosts with fewer cores than domains the curve will show a
-# slowdown, not a speedup — that is the honest number, commit it
-# anyway.
+# Regenerate BENCH_kernel.json: the event-kernel throughput record
+# (events per host second per workload x model, plus the synthetic
+# kernel-chain row), with the host's CPU count next to it.
 #
 # Usage: scripts/bench_kernel.sh [build_dir] [out_json]
 set -euo pipefail
@@ -23,7 +10,6 @@ BUILD="${1:-build}"
 OUT="${2:-BENCH_kernel.json}"
 OPS="${ASAP_KERNEL_BENCH_OPS:-400}"
 REPS="${ASAP_KERNEL_BENCH_REPS:-3}"
-PAR="${ASAP_KERNEL_BENCH_PAR:-1,2,4}"
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -31,26 +17,18 @@ trap 'rm -rf "$TMP"' EXIT
 unset ASAP_CACHE_DIR ASAP_TRACE_DIR
 
 "$BUILD/bench/kernel_bench" --ops "$OPS" --reps "$REPS" \
-    --par-domains "$PAR" --par-spec-window 0 \
-    --json "$TMP/cons.json" > "$TMP/cons.txt"
-"$BUILD/bench/kernel_bench" --ops "$OPS" --reps "$REPS" \
-    --par-domains "$PAR" --par-spec-window 64 \
-    --json "$TMP/spec.json" > "$TMP/spec.txt"
+    --json "$TMP/kernel.json" > "$TMP/kernel.txt"
 
 {
     printf '{\n'
-    printf '  "bench": "kernel-scaling",\n'
+    printf '  "bench": "kernel",\n'
     printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
     printf '  "host": "%s",\n' "$(uname -sr)"
     printf '  "cpus": %s,\n' "$(nproc)"
-    printf '  "parDomains": "%s",\n' "$PAR"
-    printf '  "conservative": '
-    cat "$TMP/cons.json"
-    printf '  ,\n  "speculative": '
-    cat "$TMP/spec.json"
+    printf '  "sequential": '
+    cat "$TMP/kernel.json"
     printf '}\n'
 } > "$OUT"
 
 echo "bench_kernel.sh: wrote $OUT"
-cat "$TMP/cons.txt"
-cat "$TMP/spec.txt"
+cat "$TMP/kernel.txt"

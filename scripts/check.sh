@@ -5,6 +5,8 @@
 #
 # Usage: scripts/check.sh [build_dir]
 #   ASAP_SANITIZE=thread scripts/check.sh build-tsan   # TSan vetting
+#   ASAP_SANITIZE=address,undefined scripts/check.sh build-asan
+#                                    # ASan + UBSan (UB fails the run)
 set -euo pipefail
 
 BUILD="${1:-build}"
@@ -148,33 +150,11 @@ diff "$TMP/trace_cold.txt" "$TMP/trace_warm.txt"
 grep -q '"traceMisses": 0' "$TMP/trace_warm.json"
 grep -qE '"traceDiskHits": [1-9]' "$TMP/trace_warm.json"
 
-# Kernel-throughput smoke: the bench must run and emit its artifact
-# (including the --par-domains scaling rows); the events/sec numbers
-# are hardware-dependent and non-gating.
-"$BUILD/bench/kernel_bench" --ops 60 --reps 1 --par-domains 1,2 \
+# Kernel-throughput smoke: the bench must run and emit its artifact;
+# the events/sec numbers are hardware-dependent and non-gating.
+"$BUILD/bench/kernel_bench" --ops 60 --reps 1 \
     --json "$TMP/kernel.json" > /dev/null
 grep -q '"kernel-chain"' "$TMP/kernel.json"
-grep -q '"parDomains": 2' "$TMP/kernel.json"
-
-# Domain-parallel kernel smoke: the parallel engine must reproduce
-# the sequential kernel bit-for-bit — figure stdout byte-identical
-# (host wall-clock goes to stderr), both conservatively and with MC
-# speculation enabled, and crash-campaign verdicts unchanged. Under
-# ASAP_SANITIZE=thread this doubles as the TSan pass over the round
-# barrier, send buffering and rollback machinery.
-"$BUILD/bench/fig08_performance" --jobs 1 --ops 50 --par-domains 4 \
-    > "$TMP/fig08_dompar.txt"
-diff "$TMP/fig08_ser.txt" "$TMP/fig08_dompar.txt"
-"$BUILD/bench/fig08_performance" --jobs 1 --ops 50 --par-domains 4 \
-    --par-spec-window 64 > "$TMP/fig08_domspec.txt"
-diff "$TMP/fig08_ser.txt" "$TMP/fig08_domspec.txt"
-"$BUILD/bench/crash_campaign" --jobs 1 --ops 30 --ticks 5 \
-    --workload cceh > "$TMP/campaign_ser.txt"
-"$BUILD/bench/crash_campaign" --jobs 1 --ops 30 --ticks 5 \
-    --workload cceh --par-domains 4 --par-spec-window 64 \
-    > "$TMP/campaign_dompar.txt"
-diff "$TMP/campaign_ser.txt" "$TMP/campaign_dompar.txt"
-grep -q ' 0 inconsistent' "$TMP/campaign_dompar.txt"
 
 # Sweep-service smoke: start an asapd on a private socket + cache,
 # route a figure bench through it with --daemon, and hold it to the
@@ -224,9 +204,15 @@ wait "$ASAPD_PID"
 diff "$TMP/serve_par.txt" "$TMP/serve_ser.txt"
 grep -q 'persistP999' "$TMP/serve.csv"
 grep -q '^serve:kv-zipf,' "$TMP/serve.csv"
+# ASan's quarantine holds freed memory back (up to 256 MB), which
+# grows RSS with the allocation count, so these two runs measure the
+# program's own memory with the quarantine off (ignored without ASan).
+RSS_ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}quarantine_size_mb=0"
+ASAN_OPTIONS="$RSS_ASAN_OPTIONS" \
 "$BUILD/bench/serve_bench" --jobs 1 --ops 1000 --cores 4 \
     --scenario kv-zipf --models asap_rp \
     > /dev/null 2> "$TMP/serve_rss_small.txt"
+ASAN_OPTIONS="$RSS_ASAN_OPTIONS" \
 "$BUILD/bench/serve_bench" --jobs 1 --ops 10000 --cores 4 \
     --scenario kv-zipf --models asap_rp \
     > /dev/null 2> "$TMP/serve_rss_big.txt"

@@ -10,7 +10,9 @@
 #ifndef ASAP_COHERENCE_CACHE_ARRAY_HH
 #define ASAP_COHERENCE_CACHE_ARRAY_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/log.hh"
@@ -30,11 +32,11 @@ class CacheArray
         bool dirty = false;         //!< evicted line had been written
     };
 
-    CacheArray(unsigned sets, unsigned ways)
-        : numSets(sets), numWays(ways), entries(sets * ways)
-    {
-        fatal_if(sets == 0 || ways == 0, "cache must have sets and ways");
-    }
+    CacheArray(unsigned sets, unsigned ways);
+    ~CacheArray();
+
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
 
     /** True if @p line is resident; refreshes LRU state on hit. */
     bool
@@ -63,6 +65,11 @@ class CacheArray
     insert(std::uint64_t line, bool dirty)
     {
         Entry *base = setBase(line);
+        // Way 0 of a set no insert has reached is still all zero; the
+        // destructor clears exactly the sets recorded here.
+        if (base[0].lastUse == 0)
+            touchedSets.push_back(
+                static_cast<std::uint32_t>(line % numSets));
         Entry *lru = nullptr;
         for (unsigned w = 0; w < numWays; ++w) {
             Entry &e = base[w];
@@ -99,8 +106,8 @@ class CacheArray
     population() const
     {
         std::size_t n = 0;
-        for (const Entry &e : entries)
-            n += e.valid ? 1 : 0;
+        for (std::size_t i = 0; i < std::size_t(numSets) * numWays; ++i)
+            n += entries[i].valid ? 1 : 0;
         return n;
     }
 
@@ -112,6 +119,10 @@ class CacheArray
         std::uint64_t line = 0;
         std::uint64_t lastUse = 0;
     };
+
+    /** All-zero bytes are an invalid entry, so zero-filled memory is
+     *  an empty array without a single write. */
+    static_assert(std::is_trivially_copyable_v<Entry>);
 
     Entry *
     setBase(std::uint64_t line)
@@ -132,7 +143,10 @@ class CacheArray
 
     unsigned numSets;
     unsigned numWays;
-    std::vector<Entry> entries;
+    /** Zero-filled storage that construction never writes (see
+     *  cache_array.cc), so a new array faults in no pages. */
+    Entry *entries = nullptr;
+    std::vector<std::uint32_t> touchedSets; //!< sets insert() reached
     std::uint64_t useClock = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/event_queue.hh"
 #include "sim/log.hh"
 
 namespace asap
@@ -29,15 +28,6 @@ RecoveryTable::RecoveryTable(unsigned mc_id, unsigned capacity,
                       &stats.counter("rt.delayAbsorbed")}
 {
     fatal_if(capacity == 0, "recovery table needs at least one entry");
-    sumPairs_ = {&stDelayCoalesced, &stSameEpochWriteThrough, &stNacks,
-                 &stTotalDelay,     &stTotalUndo,             &stDelayAbsorbed};
-}
-
-void
-RecoveryTable::attachKernel(EventQueue *eq, bool agg_inline)
-{
-    eq_ = eq;
-    aggInline_ = agg_inline;
 }
 
 std::size_t
@@ -52,17 +42,8 @@ RecoveryTable::statMax()
     const std::uint64_t occ = occupancy();
     if (occ > *stMaxOcc.rt)
         *stMaxOcc.rt = occ;
-    if (aggInline_ && occ > *stMaxOcc.agg)
+    if (occ > *stMaxOcc.agg)
         *stMaxOcc.agg = occ;
-}
-
-void
-RecoveryTable::noteNackMutation()
-{
-    nackCount_.store(static_cast<std::uint32_t>(nackedLines.size()),
-                     std::memory_order_relaxed);
-    if (eq_)
-        eq_->noteCrossWrite();
 }
 
 bool
@@ -103,7 +84,6 @@ RecoveryTable::onFlush(const FlushPacket &pkt, std::uint64_t current_value)
                 if (nit != nackedLines.end()) {
                     nackedLines.erase(nit);
                     nackBloom.remove(pkt.line);
-                    noteNackMutation();
                 }
             }
             return FlushAction::CreateDelay;
@@ -117,7 +97,6 @@ RecoveryTable::onFlush(const FlushPacket &pkt, std::uint64_t current_value)
         if (nit != nackedLines.end()) {
             nackedLines.erase(nit);
             nackBloom.remove(pkt.line);
-            noteNackMutation();
         }
         if (uit != undos.end()) {
             if (uit->second.thread == pkt.thread &&
@@ -147,7 +126,6 @@ RecoveryTable::onFlush(const FlushPacket &pkt, std::uint64_t current_value)
         if (occupancy() >= capacity) {
             nackedLines.insert(pkt.line);
             nackBloom.insert(pkt.line);
-            noteNackMutation();
             inc(stNacks);
             return FlushAction::Nack;
         }
@@ -163,7 +141,6 @@ RecoveryTable::onFlush(const FlushPacket &pkt, std::uint64_t current_value)
     if (occupancy() >= capacity) {
         nackedLines.insert(pkt.line);
         nackBloom.insert(pkt.line);
-        noteNackMutation();
         inc(stNacks);
         return FlushAction::Nack;
     }
@@ -235,48 +212,6 @@ RecoveryTable::exportRecords(std::vector<UndoRecordView> &undos_out,
     delays_out.reserve(delays_out.size() + delays.size());
     for (const DelayRecord &d : delays)
         delays_out.push_back({d.line, d.value, d.thread, d.epoch});
-}
-
-void
-RecoveryTable::specSave()
-{
-    snap_ = std::make_unique<SpecSnapshot>(SpecSnapshot{
-        undos, delays, nackBloom, nackedLines, {}, *stMaxOcc.rt});
-    snap_->statVals.reserve(sumPairs_.size());
-    for (Pair *p : sumPairs_)
-        snap_->statVals.push_back(*p->rt);
-}
-
-void
-RecoveryTable::specRestore()
-{
-    panic_if(!snap_, "RT specRestore without a checkpoint");
-    undos = std::move(snap_->undos);
-    delays = std::move(snap_->delays);
-    nackBloom = std::move(snap_->nackBloom);
-    nackedLines = std::move(snap_->nackedLines);
-    for (std::size_t i = 0; i < sumPairs_.size(); ++i)
-        *sumPairs_[i]->rt = snap_->statVals[i];
-    *stMaxOcc.rt = snap_->maxOcc;
-    noteNackMutation();
-    snap_.reset();
-}
-
-void
-RecoveryTable::zeroAggStats()
-{
-    for (Pair *p : sumPairs_)
-        *p->agg = 0;
-    *stMaxOcc.agg = 0;
-}
-
-void
-RecoveryTable::addAggStats()
-{
-    for (Pair *p : sumPairs_)
-        *p->agg += *p->rt;
-    if (*stMaxOcc.rt > *stMaxOcc.agg)
-        *stMaxOcc.agg = *stMaxOcc.rt;
 }
 
 } // namespace asap

@@ -21,10 +21,8 @@
 #ifndef ASAP_CORE_RECOVERY_TABLE_HH
 #define ASAP_CORE_RECOVERY_TABLE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,8 +35,6 @@
 namespace asap
 {
 
-class EventQueue;
-
 /** ASAP's per-controller undo/delay record store. */
 class RecoveryTable : public RecoveryPolicy
 {
@@ -49,15 +45,6 @@ class RecoveryTable : public RecoveryPolicy
      * @param stats shared stats registry
      */
     RecoveryTable(unsigned mc_id, unsigned capacity, StatSet &stats);
-
-    /**
-     * Wire the table to the event kernel. With @p agg_inline false
-     * (parallel runs) the shared "rt.*" aggregates are not bumped on
-     * the hot path — the harness recomputes them at seal time — and
-     * NACK-set mutations are reported to the kernel as cross-domain
-     * writes (the core-side eviction filter reads them).
-     */
-    void attachKernel(EventQueue *eq, bool agg_inline);
 
     FlushAction onFlush(const FlushPacket &pkt,
                         std::uint64_t current_value) override;
@@ -73,28 +60,8 @@ class RecoveryTable : public RecoveryPolicy
                        std::vector<DelayRecordView> &delays_out)
         const override;
 
-    void specSave() override;
-    void specRestore() override;
-
     /** Is an eviction of @p line to be delayed (NACK pending)? */
     bool nackPending(std::uint64_t line) const;
-
-    /**
-     * Lines currently NACK-held, readable from any thread. The core
-     * domain's eviction filter uses this as its cross-thread fast
-     * path: 0 (the overwhelmingly common value) means the Bloom probe
-     * must miss, so the exact filter state never needs to be read.
-     */
-    std::uint32_t
-    nackCountRelaxed() const
-    {
-        return nackCount_.load(std::memory_order_relaxed);
-    }
-
-    /** Deterministic "rt.*" aggregate recomputation (see the MC's
-     *  zeroAggStats/addAggStats; maxOccupancy max-merges). */
-    void zeroAggStats();
-    void addAggStats();
 
     /** Test support: current undo value for a line (0 if none). */
     bool hasUndo(std::uint64_t line) const;
@@ -128,22 +95,15 @@ class RecoveryTable : public RecoveryPolicy
     inc(Pair &p, std::uint64_t delta = 1)
     {
         *p.rt += delta;
-        if (aggInline_)
-            *p.agg += delta;
+        *p.agg += delta;
     }
 
     void statMax();
-
-    /** The NACK shadow set changed: refresh the published count and
-     *  tell the kernel (cross-domain write for round validation). */
-    void noteNackMutation();
 
     unsigned mcId;
     unsigned capacity;
     StatSet &stats;
     std::string statPrefix;
-    EventQueue *eq_ = nullptr;
-    bool aggInline_ = true;
 
     // Hot counters resolved once at construction (see StatSet::counter).
     Pair stMaxOcc; //!< max-merged, not summed
@@ -153,8 +113,6 @@ class RecoveryTable : public RecoveryPolicy
     Pair stTotalDelay;
     Pair stTotalUndo;
     Pair stDelayAbsorbed;
-    /** Sum-merged pairs, for seal/checkpoint iteration. */
-    std::vector<Pair *> sumPairs_;
 
     std::unordered_map<std::uint64_t, UndoRecord> undos;
     std::list<DelayRecord> delays;
@@ -162,20 +120,6 @@ class RecoveryTable : public RecoveryPolicy
     CountingBloom nackBloom;
     /** Exact shadow of the Bloom contents to drive removals. */
     std::unordered_multiset<std::uint64_t> nackedLines;
-    /** nackedLines.size(), published for cross-thread fast paths. */
-    std::atomic<std::uint32_t> nackCount_{0};
-
-    /** Speculation checkpoint (parallel kernel). */
-    struct SpecSnapshot
-    {
-        std::unordered_map<std::uint64_t, UndoRecord> undos;
-        std::list<DelayRecord> delays;
-        CountingBloom nackBloom;
-        std::unordered_multiset<std::uint64_t> nackedLines;
-        std::vector<std::uint64_t> statVals;
-        std::uint64_t maxOcc = 0;
-    };
-    std::unique_ptr<SpecSnapshot> snap_;
 };
 
 } // namespace asap

@@ -33,11 +33,10 @@ namespace
  *
  *  v4: the event kernel's same-tick tie-break changed from global
  *  scheduling order to (creator-domain send counter, domain id) so
- *  the domain-parallel engine can reproduce it exactly; same-tick
- *  cross-domain orderings (and therefore some stats) shift. Note
- *  --par-domains itself is deliberately NOT part of the job key: the
- *  parallel engine is bit-identical to the sequential one, so both
- *  may share cache entries.
+ *  a domain-parallel engine could reproduce it exactly; same-tick
+ *  cross-domain orderings (and therefore some stats) shift. That
+ *  engine has since been deleted, but the key stays: it defines the
+ *  results every later salt caches (src/sim/README.md).
  *
  *  v5: the serving subsystem (src/serve/) — results gained the
  *  persist-latency tail fields (persistSamples/P50/P99/P999/Max) and
@@ -78,10 +77,7 @@ describeJob(const ExperimentJob &job)
        << "workload=" << job.workload << '\n'
        // Every result-affecting SimConfig knob, in declaration
        // order. A knob missing here would alias configs that differ
-       // only in that knob — keep in sync with sim/config.hh. The
-       // parallel-kernel knobs (parDomains, parSpecWindow) are
-       // excluded on purpose: both engines produce bit-identical
-       // results, so keying them would only split the cache.
+       // only in that knob — keep in sync with sim/config.hh.
        << "numCores=" << c.numCores << '\n'
        << "numMCs=" << c.numMCs << '\n'
        << "model=" << toString(c.model) << '\n'

@@ -42,25 +42,6 @@ std::atomic<std::uint64_t> profTraceLoadNs{0};
 std::atomic<std::uint64_t> profSimulateNs{0};
 std::atomic<std::uint64_t> profCheckNs{0};
 std::atomic<std::uint64_t> profSimRuns{0};
-std::atomic<std::uint64_t> profParRounds{0};
-std::atomic<std::uint64_t> profSerialRounds{0};
-std::atomic<std::uint64_t> profMisspeculations{0};
-std::atomic<std::uint64_t> profRollbacks{0};
-std::atomic<std::uint64_t> profTaintRestarts{0};
-
-/** Fold one finished system's kernel telemetry into the process-wide
- *  profile counters. */
-void
-accountKernel(const EventQueue &eq)
-{
-    profParRounds.fetch_add(eq.parallelRounds(),
-                            std::memory_order_relaxed);
-    profSerialRounds.fetch_add(eq.serialRounds(),
-                               std::memory_order_relaxed);
-    profMisspeculations.fetch_add(eq.misspeculations(),
-                                  std::memory_order_relaxed);
-    profRollbacks.fetch_add(eq.rollbacks(), std::memory_order_relaxed);
-}
 
 /** Record the trace a job replays (microbenches are not registry
  *  workloads, so they are special-cased here). */
@@ -318,12 +299,6 @@ hostProfile()
     hp.simulateNs = profSimulateNs.load(std::memory_order_relaxed);
     hp.checkNs = profCheckNs.load(std::memory_order_relaxed);
     hp.simRuns = profSimRuns.load(std::memory_order_relaxed);
-    hp.parRounds = profParRounds.load(std::memory_order_relaxed);
-    hp.serialRounds = profSerialRounds.load(std::memory_order_relaxed);
-    hp.misspeculations =
-        profMisspeculations.load(std::memory_order_relaxed);
-    hp.rollbacks = profRollbacks.load(std::memory_order_relaxed);
-    hp.taintRestarts = profTaintRestarts.load(std::memory_order_relaxed);
     return hp;
 }
 
@@ -331,54 +306,30 @@ RunResult
 runExperiment(const std::string &workload, const SimConfig &cfg,
               const WorkloadParams &p)
 {
-    SimConfig runCfg = cfg;
-    unsigned restarts = 0;
-    const bool serve = isServeWorkload(workload);
-    for (;;) {
-        System sys(runCfg);
-        // Streaming scenarios never materialize: cores pull ops out of
-        // the generator as they retire, so RSS is bounded by the
-        // keyspace footprint however many requests the run serves.
-        std::unique_ptr<ServeStream> stream;
-        if (serve) {
-            stream = std::make_unique<ServeStream>(
-                findServeScenario(workload), runCfg.numCores, p);
-            sys.loadStream(*stream);
-        } else {
-            sys.loadTrace(obtainJobTrace(workload, runCfg, p));
-        }
-        const std::uint64_t t0 = hostNowNs();
-        const bool finished = sys.run();
-        const std::uint64_t simNs = hostNowNs() - t0;
-        const EventQueue &eq = sys.eventQueue();
-        if (eq.tainted() && runCfg.parDomains > 1) {
-            // A synchronous cross-domain access raced the parallel
-            // round; every observable result is suspect. Discard the
-            // whole system and rerun with the sequential engine —
-            // correctness never depends on the race not happening.
-            warn("parallel run tainted (", eq.taintReason(),
-                 "); rerunning sequentially");
-            profTaintRestarts.fetch_add(1, std::memory_order_relaxed);
-            ++restarts;
-            runCfg.parDomains = 1;
-            continue;
-        }
-        if (!finished)
-            warn("experiment ", workload, " did not finish");
-        profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
-        profSimRuns.fetch_add(1, std::memory_order_relaxed);
-        accountKernel(eq);
-        RunResult r = extractResult(sys, workload, cfg);
-        if (stream)
-            r.serveRequests = stream->requestsGenerated();
-        r.hostNs = simNs;
-        r.parDomains = eq.parallel() ? runCfg.parDomains : 1;
-        r.parRounds = eq.parallelRounds();
-        r.specMisspeculations = eq.misspeculations();
-        r.specRollbacks = eq.rollbacks();
-        r.parRestarts = restarts;
-        return r;
+    System sys(cfg);
+    // Streaming scenarios never materialize: cores pull ops out of the
+    // generator as they retire, so RSS is bounded by the keyspace
+    // footprint however many requests the run serves.
+    std::unique_ptr<ServeStream> stream;
+    if (isServeWorkload(workload)) {
+        stream = std::make_unique<ServeStream>(findServeScenario(workload),
+                                               cfg.numCores, p);
+        sys.loadStream(*stream);
+    } else {
+        sys.loadTrace(obtainJobTrace(workload, cfg, p));
     }
+    const std::uint64_t t0 = hostNowNs();
+    const bool finished = sys.run();
+    const std::uint64_t simNs = hostNowNs() - t0;
+    if (!finished)
+        warn("experiment ", workload, " did not finish");
+    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
+    profSimRuns.fetch_add(1, std::memory_order_relaxed);
+    RunResult r = extractResult(sys, workload, cfg);
+    if (stream)
+        r.serveRequests = stream->requestsGenerated();
+    r.hostNs = simNs;
+    return r;
 }
 
 RunResult
@@ -398,41 +349,17 @@ CrashRunResult
 runCrashExperiment(const std::string &workload, const SimConfig &cfg,
                    const WorkloadParams &p, Tick crash_tick)
 {
-    SimConfig runCfg = cfg;
-    unsigned restarts = 0;
-    std::unique_ptr<System> sysPtr;
-    std::uint64_t simNs = 0;
-    for (;;) {
-        sysPtr = std::make_unique<System>(runCfg, /*keep_run_log=*/true);
-        sysPtr->loadTrace(obtainJobTrace(workload, runCfg, p));
-        const std::uint64_t t0 = hostNowNs();
-        sysPtr->crashAt(crash_tick);
-        simNs = hostNowNs() - t0;
-        if (sysPtr->eventQueue().tainted() && runCfg.parDomains > 1) {
-            warn("parallel crash run tainted (",
-                 sysPtr->eventQueue().taintReason(),
-                 "); rerunning sequentially");
-            profTaintRestarts.fetch_add(1, std::memory_order_relaxed);
-            ++restarts;
-            runCfg.parDomains = 1;
-            continue;
-        }
-        break;
-    }
-    System &sys = *sysPtr;
+    System sys(cfg, /*keep_run_log=*/true);
+    sys.loadTrace(obtainJobTrace(workload, cfg, p));
+    const std::uint64_t t0 = hostNowNs();
+    sys.crashAt(crash_tick);
+    const std::uint64_t simNs = hostNowNs() - t0;
     profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
     profSimRuns.fetch_add(1, std::memory_order_relaxed);
-    accountKernel(sys.eventQueue());
 
     CrashRunResult out;
     out.run = extractResult(sys, workload, cfg);
     out.run.hostNs = simNs;
-    out.run.parDomains =
-        sys.eventQueue().parallel() ? runCfg.parDomains : 1;
-    out.run.parRounds = sys.eventQueue().parallelRounds();
-    out.run.specMisspeculations = sys.eventQueue().misspeculations();
-    out.run.specRollbacks = sys.eventQueue().rollbacks();
-    out.run.parRestarts = restarts;
 
     CrashVerdict &v = out.verdict;
     v.crashTick = crash_tick;
@@ -506,45 +433,19 @@ runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
              permute::permuteEngineNames(), ")");
     opt.threads = spec.threads;
 
-    SimConfig runCfg = cfg;
-    unsigned restarts = 0;
-    std::unique_ptr<System> sysPtr;
-    std::uint64_t simNs = 0;
+    System sys(cfg, /*keep_run_log=*/true);
+    sys.loadTrace(obtainJobTrace(workload, cfg, p));
     permute::PermuteSnapshot snap;
-    for (;;) {
-        sysPtr = std::make_unique<System>(runCfg, /*keep_run_log=*/true);
-        sysPtr->loadTrace(obtainJobTrace(workload, runCfg, p));
-        System *rawSys = sysPtr.get();
-        const std::uint64_t t0 = hostNowNs();
-        sysPtr->crashAt(crash_tick, [&snap, rawSys]() {
-            snap = capturePermuteSnapshot(*rawSys);
-        });
-        simNs = hostNowNs() - t0;
-        if (sysPtr->eventQueue().tainted() && runCfg.parDomains > 1) {
-            warn("parallel permute run tainted (",
-                 sysPtr->eventQueue().taintReason(),
-                 "); rerunning sequentially");
-            profTaintRestarts.fetch_add(1, std::memory_order_relaxed);
-            ++restarts;
-            runCfg.parDomains = 1;
-            continue;
-        }
-        break;
-    }
-    System &sys = *sysPtr;
+    const std::uint64_t t0 = hostNowNs();
+    sys.crashAt(crash_tick,
+                [&snap, &sys]() { snap = capturePermuteSnapshot(sys); });
+    const std::uint64_t simNs = hostNowNs() - t0;
     profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
     profSimRuns.fetch_add(1, std::memory_order_relaxed);
-    accountKernel(sys.eventQueue());
 
     CrashRunResult out;
     out.run = extractResult(sys, workload, cfg);
     out.run.hostNs = simNs;
-    out.run.parDomains =
-        sys.eventQueue().parallel() ? runCfg.parDomains : 1;
-    out.run.parRounds = sys.eventQueue().parallelRounds();
-    out.run.specMisspeculations = sys.eventQueue().misspeculations();
-    out.run.specRollbacks = sys.eventQueue().rollbacks();
-    out.run.parRestarts = restarts;
 
     CrashVerdict &v = out.verdict;
     v.crashTick = crash_tick;

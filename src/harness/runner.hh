@@ -25,8 +25,8 @@ namespace asap
 struct RunResult
 {
     std::string workload;
-    ModelKind model;
-    PersistencyModel persistency;
+    ModelKind model = ModelKind::Baseline;
+    PersistencyModel persistency = PersistencyModel::Epoch;
     unsigned cores = 0;
     std::string media;               //!< media profile the run used
 
@@ -80,19 +80,6 @@ struct RunResult
      *  only and non-deterministic: never serialized into caches and
      *  never emitted into artifacts (zero on cache-served results). */
     std::uint64_t hostNs = 0;
-
-    /**
-     * Parallel-kernel execution telemetry. Host-side like hostNs:
-     * which engine executed a run (and how often it speculated) does
-     * not change any simulated result — outputs are bit-identical by
-     * construction — so none of these fields enter caches or
-     * artifacts (zero on cache-served results).
-     */
-    unsigned parDomains = 1;  //!< domains the returned run executed with
-    std::uint64_t parRounds = 0; //!< parallel rounds committed
-    std::uint64_t specMisspeculations = 0; //!< failed spec windows
-    std::uint64_t specRollbacks = 0;       //!< domain rollbacks
-    unsigned parRestarts = 0; //!< tainted parallel runs discarded
 
     /** Host throughput in events per second (0 when not measured). */
     double
@@ -155,12 +142,6 @@ struct HostProfile
     std::uint64_t checkNs = 0;     //!< recovery-consistency checking
     std::uint64_t simRuns = 0;     //!< simulations measured
 
-    // Parallel event kernel (zero unless --par-domains > 1 ran).
-    std::uint64_t parRounds = 0;       //!< parallel rounds committed
-    std::uint64_t serialRounds = 0;    //!< serial fallback rounds
-    std::uint64_t misspeculations = 0; //!< failed speculative windows
-    std::uint64_t rollbacks = 0;       //!< domain rollbacks performed
-    std::uint64_t taintRestarts = 0;   //!< runs redone sequentially
 };
 
 /** Snapshot of the process-wide phase timers. */

@@ -122,15 +122,6 @@ class MediaModel
      */
     virtual WriteGrant startWrite(Tick now, unsigned bytes) = 0;
 
-    /**
-     * Bandwidth-cap cursor (next media-pipeline free time), for
-     * speculation checkpoints: the only mutable timing state a media
-     * model carries, so save/restore of this value is a full
-     * checkpoint. Cap-less models return 0 and ignore the setter.
-     */
-    virtual Tick bwCursor() const { return 0; }
-    virtual void setBwCursor(Tick) {}
-
   protected:
     explicit MediaModel(MediaParams p) : p_(std::move(p)) {}
 

@@ -102,15 +102,6 @@ class RecoveryPolicy
         (void)undos;
         (void)delays;
     }
-
-    /**
-     * Speculation checkpoints (parallel kernel). A controller about
-     * to execute a speculative event window asks its policy to save
-     * restorable state; on misspeculation the kernel restores it.
-     * Stateless policies need not override.
-     */
-    virtual void specSave() {}
-    virtual void specRestore() {}
 };
 
 } // namespace asap

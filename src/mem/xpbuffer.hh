@@ -13,10 +13,8 @@
 #define ASAP_MEM_XPBUFFER_HH
 
 #include <cstdint>
-#include <iterator>
 #include <list>
 #include <unordered_map>
-#include <vector>
 
 namespace asap
 {
@@ -52,29 +50,6 @@ class XpBuffer
     }
 
     std::size_t size() const { return lru.size(); }
-
-    /**
-     * Recency order, most-recent first, for speculation checkpoints.
-     * The list+iterator representation breaks default copying, so the
-     * snapshot is the flat address sequence.
-     */
-    std::vector<std::uint64_t>
-    lruSnapshot() const
-    {
-        return std::vector<std::uint64_t>(lru.begin(), lru.end());
-    }
-
-    /** Rebuild LRU state from an lruSnapshot(). */
-    void
-    lruRestore(const std::vector<std::uint64_t> &snap)
-    {
-        lru.clear();
-        index.clear();
-        for (std::uint64_t line : snap) {
-            lru.push_back(line);
-            index[line] = std::prev(lru.end());
-        }
-    }
 
   private:
     unsigned cap;

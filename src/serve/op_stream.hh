@@ -14,7 +14,7 @@
  * thread's progress or on simulated time. The stream is therefore a
  * pure function of (scenario, numThreads, params) — byte-identical
  * whatever order the engine interleaves pulls in, which is what makes
- * results stable across --jobs, --shard and --par-domains.
+ * results stable across --jobs and --shard.
  *
  * Contention is deliberately NOT expressed with generation-time lock
  * edges (that would need cross-thread coordination and break purity).

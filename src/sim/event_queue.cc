@@ -1,61 +1,16 @@
-/**
- * @file
- * Domain-parallel event engine.
- *
- * The sequential engine lives entirely in the header (hot path). This
- * file implements the parallel protocol: conservative-lookahead
- * rounds, speculation with barrier-time validation and rollback, and
- * the worker pool. Determinism needs no merge step — sequence keys
- * are minted from creator-domain-local counters at schedule time
- * (EventQueue::makeKey), so they are final immediately and identical
- * to the keys the sequential engine would assign. src/sim/README.md
- * documents the protocol and the bit-identity argument.
- */
-
 #include "sim/event_queue.hh"
-
-#include <unordered_set>
 
 namespace asap
 {
 
-namespace
-{
-
-/** Saturating tick addition (bounds against maxTick sentinels). */
-inline Tick
-satAdd(Tick a, Tick b)
-{
-    const Tick s = a + b;
-    return s < a ? maxTick : s;
-}
-
-/** Polite spin-wait body. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-}
-
-} // namespace
-
 EventQueue::~EventQueue()
 {
-    stopWorkers();
     clear();
 }
 
 void
-EventQueue::growSlab(std::vector<std::unique_ptr<Slot[]>> &chunks,
-                     std::vector<std::uint32_t> &freeSlots, bool capped)
+EventQueue::growSlab()
 {
-    fatal_if(capped && chunks.size() >= kParallelChunkReserve,
-             "event-domain slab exhausted (", kParallelChunkReserve,
-             " chunks) — pending events far beyond any expected peak");
     const auto base =
         static_cast<std::uint32_t>(chunks.size() * slotsPerChunk);
     chunks.push_back(std::make_unique<Slot[]>(slotsPerChunk));
@@ -65,714 +20,14 @@ EventQueue::growSlab(std::vector<std::unique_ptr<Slot[]>> &chunks,
         freeSlots.push_back(base + i);
 }
 
-void
-EventQueue::releaseSlot(std::uint32_t id)
-{
-    if (!parallel_) {
-        Slot &s = chunks[id / slotsPerChunk][id % slotsPerChunk];
-        if (s.destroy)
-            s.destroy(s.storage);
-        freeSlots.push_back(id);
-        return;
-    }
-    Domain &d = *domains_[id >> kDomainShift];
-    const std::uint32_t idx = id & kSlotIdxMask;
-    Slot &s = d.chunks[idx / slotsPerChunk][idx % slotsPerChunk];
-    if (s.destroy)
-        s.destroy(s.storage);
-    d.freeSlots.push_back(idx);
-}
-
-std::size_t
-EventQueue::pending() const
-{
-    if (!parallel_)
-        return heap.size();
-    std::size_t n = 0;
-    for (const auto &d : domains_)
-        n += d->heap.size();
-    return n;
-}
-
 std::size_t
 EventQueue::clear()
 {
-    if (!parallel_) {
-        const std::size_t dropped = heap.size();
-        for (const Node &n : heap)
-            releaseSlot(n.slot);
-        heap.clear();
-        return dropped;
-    }
-    std::size_t dropped = 0;
-    for (const auto &d : domains_) {
-        dropped += d->heap.size();
-        for (const Node &n : d->heap)
-            releaseSlot(n.slot);
-        d->heap.clear();
-    }
+    const std::size_t dropped = heap.size();
+    for (const Node &n : heap)
+        releaseSlot(n.slot);
+    heap.clear();
     return dropped;
-}
-
-void
-EventQueue::configureParallel(unsigned numMcs, unsigned threads,
-                              Tick coreToMcLatency, Tick mcToCoreLatency,
-                              Tick specWindow)
-{
-    fatal_if(parallel_, "configureParallel() called twice");
-    fatal_if(!heap.empty() || executed_ != 0 ||
-                 sendCounters_[kCoreDomain].v != 0,
-             "configureParallel() after events were scheduled");
-    fatal_if(numMcs == 0, "parallel engine needs at least one MC domain");
-    fatal_if(coreToMcLatency == 0 || mcToCoreLatency == 0,
-             "parallel engine needs nonzero cross-domain latencies");
-    const unsigned n = numMcs + 1;
-    fatal_if(n > kMaxDomains, "too many event domains (", n, ")");
-    domains_.clear();
-    domains_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        auto d = std::make_unique<Domain>();
-        d->id = static_cast<DomainId>(i);
-        d->chunks.reserve(kParallelChunkReserve);
-        domains_.push_back(std::move(d));
-    }
-    threads_ = std::min(std::max(threads, 1u), n);
-    latCoreToMc_ = coreToMcLatency;
-    latMcToCore_ = mcToCoreLatency;
-    specWindow_ = specWindow;
-    parallel_ = true;
-}
-
-void
-EventQueue::setSerialPredicate(std::function<bool()> pred)
-{
-    serialPred_ = std::move(pred);
-}
-
-void
-EventQueue::setCheckpointHooks(DomainId domain, std::function<void()> save,
-                               std::function<void()> restore,
-                               std::function<void()> discard)
-{
-    fatal_if(!parallel_ || domain >= domains_.size(),
-             "setCheckpointHooks: no such domain");
-    Domain &d = *domains_[domain];
-    d.ckptSave = std::move(save);
-    d.ckptRestore = std::move(restore);
-    d.ckptDiscard = std::move(discard);
-}
-
-void
-EventQueue::taint(const char *why)
-{
-    const char *expected = nullptr;
-    taintReason_.compare_exchange_strong(expected, why,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire);
-    taintFlag_.store(true, std::memory_order_release);
-}
-
-bool
-EventQueue::crossCallHazard(DomainId home)
-{
-    if (!parallel_ || !inRound_.load(std::memory_order_relaxed))
-        return false;
-    if (tlsExec_.owner == this && tlsExec_.dom != nullptr &&
-        tlsExec_.dom->id == home)
-        return false;
-    taint("synchronous cross-domain callback during a parallel round");
-    return true;
-}
-
-void
-EventQueue::noteCrossProbe()
-{
-    if (tlsExec_.owner == this && tlsExec_.dom != nullptr &&
-        inRound_.load(std::memory_order_relaxed))
-        ++tlsExec_.dom->crossProbes;
-}
-
-void
-EventQueue::noteCrossWrite()
-{
-    if (tlsExec_.owner == this && tlsExec_.dom != nullptr &&
-        inRound_.load(std::memory_order_relaxed))
-        ++tlsExec_.dom->crossWrites;
-}
-
-void
-EventQueue::routeEvent(DomainId target, Tick when, std::uint32_t slot)
-{
-    Domain &t = *domains_[target];
-    Domain *cur = (tlsExec_.owner == this) ? tlsExec_.dom : nullptr;
-    if (!inRound_.load(std::memory_order_relaxed) || cur == nullptr) {
-        // Direct mode: no round in flight (or a serial chunk), one
-        // thread. The creator is the executing event's domain, or the
-        // core domain outside event context — the same attribution
-        // the sequential engine makes, so keys match it exactly.
-        panic_if(when < now(), "scheduling event in the past (", when,
-                 " < ", now(), ")");
-        const DomainId creator = cur ? cur->id : kCoreDomain;
-        const std::uint64_t key = makeKey(creator);
-        // Same-domain same-tick children may legally carry a lower
-        // key than already-executed events (the sequential heap would
-        // run them next anyway); cross-domain arrivals must land
-        // strictly after the target's committed frontier.
-        panic_if(creator != target && t.commitAny &&
-                     (when < t.commitHigh ||
-                      (when == t.commitHigh && key < t.commitHighKey)),
-                 "direct send (", when, ", key ", key,
-                 ") lands below domain ", target,
-                 "'s committed frontier (", t.commitHigh, ", key ",
-                 t.commitHighKey, ")");
-        t.heap.push_back(Node{when, key, slot, target});
-        std::push_heap(t.heap.begin(), t.heap.end(), NodeAfter{});
-        return;
-    }
-    Domain &d = *cur;
-    panic_if(when < d.curTick, "scheduling event in the past (", when,
-             " < ", d.curTick, ")");
-    const std::uint64_t key = makeKey(d.id);
-    if (target == d.id && when < d.specBound) {
-        // Same-domain child inside this window: goes straight into
-        // the heap (its key is final) and executes this round. It is
-        // also recorded — flagged direct — so rollback and abort can
-        // find its slot; commit skips routing it a second time.
-        d.children.push_back(Child{when, key, slot, target, true});
-        d.heap.push_back(Node{when, key, slot, target});
-        std::push_heap(d.heap.begin(), d.heap.end(), NodeAfter{});
-        return;
-    }
-    if (target != d.id && when < t.bound) {
-        if (d.curTick >= d.bound) {
-            // A speculative event produced a send into the target's
-            // committed window — this speculation cannot commit.
-            d.specAborted = true;
-        } else {
-            panic("cross-domain send below the target's lookahead "
-                  "bound (", when, " < ", t.bound, ", from domain ",
-                  d.id, " @", d.curTick, " to domain ", target,
-                  ") — latency contract violated");
-        }
-    }
-    d.children.push_back(Child{when, key, slot, target, false});
-}
-
-void
-EventQueue::runDomainWindow(Domain &d)
-{
-    tlsExec_ = TlsExec{this, &d};
-    while (!d.heap.empty() && d.heap.front().when < d.specBound &&
-           !d.specAborted &&
-           !taintFlag_.load(std::memory_order_relaxed)) {
-        const Node top = d.heap.front();
-        std::pop_heap(d.heap.begin(), d.heap.end(), NodeAfter{});
-        d.heap.pop_back();
-        d.curTick = top.when;
-        d.lastExecTick = top.when;
-        d.lastExecKey = top.seq;
-        d.executedAny = true;
-        Slot &s = slotAt(top.slot);
-        s.invoke(s.storage);
-        d.executedSlots.push_back(top.slot);
-        ++d.roundExecuted;
-    }
-    tlsExec_ = TlsExec{nullptr, nullptr};
-}
-
-void
-EventQueue::runStripe(unsigned threadIdx)
-{
-    for (std::size_t i = 0; i < domains_.size(); ++i)
-        if (i % threads_ == threadIdx)
-            runDomainWindow(*domains_[i]);
-}
-
-void
-EventQueue::computeBounds(Tick limitP1)
-{
-    // Conservative lookahead. Every cross-domain hop goes through the
-    // core (star topology), so each domain's window must stop below
-    // the earliest event that can causally reach it — including
-    // through chains that lower another domain's effective front.
-    // The fixpoint over "earliest future execution per domain" is:
-    //
-    //   earliestCore = min(core front, min MC front + latMcToCore)
-    //   earliestMc   = min(min MC front, earliestCore + latCoreToMc)
-    //
-    // (an in-flight core->MC send can drop an MC's front to
-    // earliestCore + latCoreToMc, whose reply then echoes back into
-    // the core — deeper echoes only add latency). Arrivals into an
-    // MC come only from core executions, arrivals into the core only
-    // from MC executions, so:
-    Domain &core = *domains_[kCoreDomain];
-    const Tick fCore =
-        core.heap.empty() ? maxTick : core.heap.front().when;
-    Tick minMcFront = maxTick;
-    for (std::size_t i = 1; i < domains_.size(); ++i) {
-        Domain &m = *domains_[i];
-        if (!m.heap.empty())
-            minMcFront = std::min(minMcFront, m.heap.front().when);
-    }
-    const Tick earliestCore =
-        std::min(fCore, satAdd(minMcFront, latMcToCore_));
-    const Tick mcBound =
-        std::min(satAdd(earliestCore, latCoreToMc_), limitP1);
-    for (std::size_t i = 1; i < domains_.size(); ++i)
-        domains_[i]->bound = mcBound;
-    const Tick earliestMc =
-        std::min(minMcFront, satAdd(earliestCore, latCoreToMc_));
-    core.bound =
-        std::min(satAdd(earliestMc, latMcToCore_), limitP1);
-}
-
-void
-EventQueue::serialChunk(Tick limit)
-{
-    // Exact serial execution of a small chunk of the global order,
-    // used when a parallel round would not pay off (sparse window) or
-    // is not licensed (serial predicate). Direct-mode scheduling
-    // applies throughout, so this is literally the sequential engine
-    // walking multiple heaps.
-    constexpr int kSerialChunk = 128;
-    ++serialRounds_;
-    for (int i = 0; i < kSerialChunk; ++i) {
-        Domain *best = nullptr;
-        for (const auto &dp : domains_) {
-            if (dp->heap.empty())
-                continue;
-            const Node &f = dp->heap.front();
-            if (best == nullptr ||
-                NodeAfter{}(best->heap.front(), f))
-                best = dp.get();
-        }
-        if (best == nullptr || best->heap.front().when > limit)
-            return;
-        Domain &d = *best;
-        const Node top = d.heap.front();
-        std::pop_heap(d.heap.begin(), d.heap.end(), NodeAfter{});
-        d.heap.pop_back();
-        d.curTick = top.when;
-        d.commitHigh = top.when;
-        d.commitHighKey = top.seq;
-        d.commitAny = true;
-        curTick_ = top.when;
-        ++executed_;
-        tlsExec_ = TlsExec{this, &d};
-        Slot &s = slotAt(top.slot);
-        s.invoke(s.storage);
-        tlsExec_ = TlsExec{nullptr, nullptr};
-        releaseSlot(top.slot);
-    }
-}
-
-bool
-EventQueue::stepParallel()
-{
-    Domain *best = nullptr;
-    for (const auto &dp : domains_) {
-        if (dp->heap.empty())
-            continue;
-        if (best == nullptr ||
-            NodeAfter{}(best->heap.front(), dp->heap.front()))
-            best = dp.get();
-    }
-    if (best == nullptr)
-        return false;
-    Domain &d = *best;
-    const Node top = d.heap.front();
-    std::pop_heap(d.heap.begin(), d.heap.end(), NodeAfter{});
-    d.heap.pop_back();
-    d.curTick = top.when;
-    d.commitHigh = top.when;
-    d.commitHighKey = top.seq;
-    d.commitAny = true;
-    curTick_ = top.when;
-    ++executed_;
-    tlsExec_ = TlsExec{this, &d};
-    Slot &s = slotAt(top.slot);
-    s.invoke(s.storage);
-    tlsExec_ = TlsExec{nullptr, nullptr};
-    releaseSlot(top.slot);
-    return true;
-}
-
-void
-EventQueue::validateSpeculation()
-{
-    // Barrier-time validation. A speculative window executed events
-    // at ticks its conservative bound did not license; it may commit
-    // only if nothing can ever arrive at or below its last executed
-    // tick. Two arrival paths exist in the star topology (all
-    // cross-domain traffic is core<->MC):
-    //
-    //  - direct: a send buffered this round targeting the domain.
-    //  - chained: any pending event anywhere can reach the core (its
-    //    own heap front, a buffered send into it, or an MC front plus
-    //    one MC->core hop) and then send onward with >= latCoreToMc_;
-    //    longer chains only add delay.
-    //
-    // Both are fully known at the barrier, so validity is decided
-    // here and checkpoints never outlive their round. The computation
-    // uses the pre-rollback barrier state of every domain — heap
-    // fronts and buffered children, even those of windows about to be
-    // rolled back. A rolled-back window re-executes deterministically
-    // and re-creates the same sends, so its pre-rollback children are
-    // exactly the arrivals its replay will produce; counting them
-    // here keeps the decision both sound and deterministic.
-    std::vector<Tick> minIncoming(domains_.size(), maxTick);
-    for (const auto &sp : domains_)
-        for (const Child &c : sp->children)
-            if (!c.direct)
-                minIncoming[c.target] =
-                    std::min(minIncoming[c.target], c.when);
-
-    const Domain &core = *domains_[kCoreDomain];
-    Tick earliestCore =
-        core.heap.empty() ? maxTick : core.heap.front().when;
-    earliestCore = std::min(earliestCore, minIncoming[kCoreDomain]);
-    for (std::size_t i = 1; i < domains_.size(); ++i) {
-        const Domain &m = *domains_[i];
-        Tick f = m.heap.empty() ? maxTick : m.heap.front().when;
-        f = std::min(f, minIncoming[m.id]);
-        earliestCore = std::min(earliestCore, satAdd(f, latMcToCore_));
-    }
-    const Tick chainedThreat = satAdd(earliestCore, latCoreToMc_);
-
-    for (const auto &dp : domains_) {
-        Domain &d = *dp;
-        if (!d.executedAny)
-            continue;
-        const bool threatened =
-            minIncoming[d.id] <= d.lastExecTick ||
-            (d.id != kCoreDomain && chainedThreat <= d.lastExecTick);
-        if (!d.snapped) {
-            // Conservative windows stop strictly below their bound
-            // and the latency contract puts every arrival at or past
-            // it, so a threat here is a kernel bug, not a rollback.
-            panic_if(threatened, "conservative domain ", d.id,
-                     " outran an arrival — cross-domain latency "
-                     "contract bug");
-            continue;
-        }
-        if (threatened || d.specAborted) {
-            ++misspeculations_;
-            ++rollbacks_;
-            rollbackDomain(d);
-        }
-    }
-}
-
-void
-EventQueue::rollbackDomain(Domain &d)
-{
-    // Misspeculation: discard the whole window. Every child slot dies
-    // (direct ones also leave the heap via the snapshot restore).
-    // Executed pre-round slots are NOT released: the restored heap
-    // references them and they will execute again in a later round
-    // (the component checkpoint restores the state they read). No
-    // conservative re-execution is needed — speculation only starts
-    // on an empty conservative window (front >= bound).
-    for (const Child &c : d.children)
-        releaseSlot(c.slot);
-    d.children.clear();
-    d.executedSlots.clear();
-    d.heap = std::move(d.heapSnap);
-    d.heapSnap.clear();
-    d.curTick = d.tickSnap;
-    sendCounters_[d.id].v = d.counterSnap;
-    d.lastExecTick = 0;
-    d.executedAny = false;
-    d.specAborted = false;
-    d.roundExecuted = 0;
-    d.ckptRestore();
-    d.snapped = false;
-}
-
-void
-EventQueue::commitRound()
-{
-    // This round's windows are now irrevocable: advance the committed
-    // execution frontiers before routing, so every routed send is
-    // checked against the final frontier of its target.
-    for (const auto &dp : domains_) {
-        if (dp->executedAny) {
-            dp->commitHigh = dp->lastExecTick;
-            dp->commitHighKey = dp->lastExecKey;
-            dp->commitAny = true;
-        }
-    }
-    // Route the surviving buffered sends — their keys were final at
-    // creation, so this is pure heap insertion, no renumbering. The
-    // domain iteration order is fixed, and unique keys make the heap
-    // pop order independent of insertion order anyway.
-    for (const auto &sp : domains_) {
-        for (const Child &c : sp->children) {
-            if (c.direct)
-                continue; // executed in-round; slot released below
-            Domain &t = *domains_[c.target];
-            panic_if(t.commitAny &&
-                         (c.when < t.commitHigh ||
-                          (c.when == t.commitHigh &&
-                           c.key < t.commitHighKey)),
-                     "committed send (", c.when, ", key ", c.key,
-                     ") lands below domain ", c.target,
-                     "'s committed frontier (", t.commitHigh, ", key ",
-                     t.commitHighKey, ")");
-            t.heap.push_back(Node{c.when, c.key, c.slot, c.target});
-            std::push_heap(t.heap.begin(), t.heap.end(), NodeAfter{});
-        }
-    }
-    for (const auto &dp : domains_) {
-        Domain &d = *dp;
-        // Direct children always drain inside their window, so
-        // executedSlots releases them exactly once.
-        for (std::uint32_t s : d.executedSlots)
-            releaseSlot(s);
-        executed_ += d.roundExecuted;
-        if (d.snapped) {
-            d.ckptDiscard();
-            d.snapped = false;
-            d.heapSnap.clear();
-        }
-        d.children.clear();
-        d.executedSlots.clear();
-        d.roundExecuted = 0;
-        d.lastExecTick = 0;
-        d.executedAny = false;
-        d.specAborted = false;
-        d.crossProbes = 0;
-        d.crossWrites = 0;
-    }
-}
-
-void
-EventQueue::abortRound()
-{
-    // Taint teardown: the run's results are discarded, so component
-    // state no longer matters — but slot bookkeeping must stay sound
-    // for clear() and the destructor. Direct children may still sit
-    // in the heap (a tainted window exits early); they are recognized
-    // by slot id and removed, then released through the children
-    // list. Executed non-child slots release here; their nodes are
-    // already off the heap.
-    for (const auto &dp : domains_) {
-        Domain &d = *dp;
-        std::unordered_set<std::uint32_t> childSlots;
-        for (const Child &c : d.children)
-            childSlots.insert(c.slot);
-        d.heap.erase(std::remove_if(d.heap.begin(), d.heap.end(),
-                                    [&childSlots](const Node &n) {
-                                        return childSlots.count(n.slot) >
-                                               0;
-                                    }),
-                     d.heap.end());
-        std::make_heap(d.heap.begin(), d.heap.end(), NodeAfter{});
-        for (const Child &c : d.children)
-            releaseSlot(c.slot);
-        for (std::uint32_t s : d.executedSlots)
-            if (!childSlots.count(s))
-                releaseSlot(s);
-        d.children.clear();
-        d.executedSlots.clear();
-        d.roundExecuted = 0;
-        d.lastExecTick = 0;
-        d.executedAny = false;
-        d.specAborted = false;
-        d.crossProbes = 0;
-        d.crossWrites = 0;
-        d.snapped = false;
-        d.heapSnap.clear();
-    }
-    inRound_.store(false, std::memory_order_relaxed);
-}
-
-void
-EventQueue::ensureWorkers()
-{
-    if (!workers_.empty() || threads_ <= 1)
-        return;
-    workers_.reserve(threads_ - 1);
-    for (unsigned t = 1; t < threads_; ++t)
-        workers_.emplace_back([this, t] { workerLoop(t); });
-}
-
-void
-EventQueue::stopWorkers()
-{
-    if (workers_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> g(barrierMtx_);
-        quit_.store(true, std::memory_order_release);
-    }
-    cvRound_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
-    workers_.clear();
-}
-
-void
-EventQueue::workerLoop(unsigned threadIdx)
-{
-    constexpr unsigned kSpinsBeforePark = 4096;
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::uint64_t gen = roundGen_.load(std::memory_order_acquire);
-        unsigned spins = 0;
-        while (gen == seen && !quit_.load(std::memory_order_acquire)) {
-            if (++spins < kSpinsBeforePark) {
-                cpuRelax();
-            } else {
-                std::unique_lock<std::mutex> l(barrierMtx_);
-                cvRound_.wait(l, [&] {
-                    return roundGen_.load(std::memory_order_acquire) !=
-                               seen ||
-                           quit_.load(std::memory_order_acquire);
-                });
-            }
-            gen = roundGen_.load(std::memory_order_acquire);
-        }
-        if (gen == seen)
-            return; // quit_ set with no new round pending
-        seen = gen;
-        runStripe(threadIdx);
-        const unsigned nWorkers = threads_ - 1;
-        if (doneCount_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            nWorkers) {
-            // Last worker in: wake the coordinator if it parked.
-            std::lock_guard<std::mutex> g(barrierMtx_);
-            cvDone_.notify_one();
-        }
-    }
-}
-
-bool
-EventQueue::runParallel(Tick limit)
-{
-    const Tick limitP1 = limit == maxTick ? maxTick : limit + 1;
-    for (;;) {
-        if (tainted())
-            return false;
-
-        // Global frontier.
-        Tick horizon = maxTick;
-        Tick maxCur = curTick_;
-        bool any = false;
-        for (const auto &dp : domains_) {
-            maxCur = std::max(maxCur, dp->curTick);
-            if (!dp->heap.empty()) {
-                any = true;
-                horizon = std::min(horizon, dp->heap.front().when);
-            }
-        }
-        if (!any) {
-            curTick_ = maxCur;
-            return true;
-        }
-        if (horizon > limit) {
-            curTick_ = limit;
-            return false;
-        }
-        curTick_ = horizon;
-
-        if (serialPred_ && serialPred_()) {
-            serialChunk(limit);
-            continue;
-        }
-
-        computeBounds(limitP1);
-
-        // Window ends: conservative by default; an MC whose lookahead
-        // window is empty may speculate past its bound (checkpoint
-        // hooks required).
-        unsigned runnable = 0;
-        for (const auto &dp : domains_) {
-            Domain &d = *dp;
-            d.specBound = d.bound;
-            if (d.heap.empty())
-                continue;
-            const Tick f = d.heap.front().when;
-            if (d.id != kCoreDomain && specWindow_ > 0 && d.ckptSave &&
-                f >= d.bound) {
-                const Tick sb =
-                    std::min(satAdd(d.bound, specWindow_), limitP1);
-                if (f < sb)
-                    d.specBound = sb;
-            }
-            if (f < d.specBound)
-                ++runnable;
-        }
-        if (runnable < 2) {
-            serialChunk(limit);
-            continue;
-        }
-
-        for (const auto &dp : domains_) {
-            Domain &d = *dp;
-            if (d.specBound > d.bound) {
-                d.heapSnap = d.heap;
-                d.tickSnap = d.curTick;
-                d.counterSnap = sendCounters_[d.id].v;
-                d.snapped = true;
-                d.ckptSave();
-            }
-        }
-
-        // The round: publish, execute the stripes, wait at the
-        // barrier. roundGen_'s release pairs with the workers'
-        // acquire (bounds and snapshots are visible to them);
-        // doneCount_'s release pairs with our acquire (their domain
-        // state is visible to us).
-        inRound_.store(true, std::memory_order_relaxed);
-        ensureWorkers();
-        doneCount_.store(0, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> g(barrierMtx_);
-            roundGen_.fetch_add(1, std::memory_order_release);
-        }
-        cvRound_.notify_all();
-        runStripe(0);
-        const unsigned nWorkers =
-            static_cast<unsigned>(workers_.size());
-        unsigned spins = 0;
-        while (doneCount_.load(std::memory_order_acquire) < nWorkers) {
-            if (++spins < 4096) {
-                cpuRelax();
-            } else {
-                std::unique_lock<std::mutex> l(barrierMtx_);
-                cvDone_.wait(l, [&] {
-                    return doneCount_.load(
-                               std::memory_order_acquire) >= nWorkers;
-                });
-            }
-        }
-
-        if (tainted()) {
-            abortRound();
-            return false;
-        }
-        // A synchronous cross-domain probe and a mutation of the
-        // probed state in the same round may have raced — the probe's
-        // answer is not trustworthy even if the zero-count fast path
-        // took it. Taint rather than guess.
-        std::uint64_t probes = 0, writes = 0;
-        for (const auto &dp : domains_) {
-            probes += dp->crossProbes;
-            writes += dp->crossWrites;
-        }
-        if (probes > 0 && writes > 0) {
-            taint("cross-domain probe/write overlap in a parallel "
-                  "round");
-            abortRound();
-            return false;
-        }
-
-        validateSpeculation();
-        commitRound();
-        inRound_.store(false, std::memory_order_relaxed);
-        ++parallelRounds_;
-    }
 }
 
 } // namespace asap

@@ -2,13 +2,17 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A queue of (tick, sequence, callback) events with one global total
- * order. The sequence key is assigned at schedule time from state
- * local to the *scheduling* domain — (per-domain send counter,
- * domain id) packed into 64 bits — so ties at the same tick resolve
- * identically no matter which engine (or host thread) executes the
- * schedule call. That locality is what lets the parallel engine
- * reproduce the sequential engine bit for bit; see src/sim/README.md.
+ * A queue of (tick, sequence, callback) events executed in one total
+ * order on one host thread. Same-tick ties break on a sequence key
+ * minted at schedule time from the *scheduling* domain's private send
+ * counter — (counter << 6) | domain, compared as one 64-bit integer —
+ * rather than from one global counter. Domains are the core complex
+ * (kCoreDomain: cores, caches, persist buffers, models) and one per
+ * memory controller (mcDomain(i)); an event runs in the domain it was
+ * scheduled into and mints its children's keys from that domain's
+ * counter. The key defines every result the repo has published since
+ * cache salt asap-sim-v4, so it stays even though the engine it was
+ * introduced for is gone; see src/sim/README.md.
  *
  * The kernel is allocation-free in steady state. Callbacks are
  * constructed in place inside fixed-size slots (small-buffer storage,
@@ -19,21 +23,6 @@
  * copyable values and never touch the callbacks. Once the heap vector
  * and the slab have warmed to the simulation's peak pending-event
  * count, the schedule/pop cycle performs zero heap allocation.
- *
- * Two execution engines share that storage layer:
- *
- *  - the sequential engine (default): one heap, one host thread,
- *    exactly the pre-parallel kernel hot path plus a per-domain
- *    counter increment in place of the old global one.
- *  - the domain-parallel engine (configureParallel()): events are
- *    partitioned into domains (0 = the core complex: cores, caches,
- *    persist buffers, models; 1+i = memory controller i), each with
- *    its own heap and slab. Per-domain event windows execute
- *    concurrently under conservative lookahead bounded by the
- *    minimum cross-domain message latency, with optional speculative
- *    execution past the bound backed by checkpoint/rollback and
- *    validated against a threat horizon at the round barrier.
- *    Results are bit-identical to the sequential engine.
  */
 
 #ifndef ASAP_SIM_EVENT_QUEUE_HH
@@ -41,15 +30,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -79,8 +63,7 @@ class EventQueue
     /** Domain of the core complex (cores, caches, PBs, models). */
     static constexpr DomainId kCoreDomain = 0;
 
-    /** Domain of memory controller @p mc. Valid in both engines: the
-     *  sequential engine routes every domain to its one heap. */
+    /** Domain of memory controller @p mc. */
     static constexpr DomainId
     mcDomain(unsigned mc)
     {
@@ -93,136 +76,14 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    // --- parallel-engine configuration (before any scheduling) ------
-
-    /**
-     * Switch to the domain-parallel engine with 1 + @p numMcs domains.
-     *
-     * @param numMcs memory-controller count (domains 1..numMcs)
-     * @param threads host threads to execute rounds with (clamped to
-     *        the domain count; 1 still runs the full parallel
-     *        protocol on the calling thread — useful for tests)
-     * @param coreToMcLatency minimum ticks between a core-domain event
-     *        and any event it schedules into an MC domain
-     * @param mcToCoreLatency minimum ticks for the opposite direction
-     * @param specWindow ticks an MC domain may speculate past its
-     *        conservative bound (0 disables speculation; rollback
-     *        requires checkpoint hooks, see setCheckpointHooks())
-     */
-    void configureParallel(unsigned numMcs, unsigned threads,
-                           Tick coreToMcLatency, Tick mcToCoreLatency,
-                           Tick specWindow);
-
-    /** True once configureParallel() switched engines. */
-    bool parallel() const { return parallel_; }
-
-    /** Domain count (1 under the sequential engine). */
-    unsigned
-    domainCount() const
-    {
-        return parallel_ ? static_cast<unsigned>(domains_.size()) : 1;
-    }
-
-    /**
-     * Install a predicate polled between rounds; while it returns
-     * true, events execute in exact serial order instead of parallel
-     * windows (used while cross-domain state that synchronous probes
-     * read — RT NACK filters — is non-empty).
-     */
-    void setSerialPredicate(std::function<bool()> pred);
-
-    /**
-     * Register domain-local state checkpointing for speculation.
-     * @p save is called before a speculative window, @p restore on
-     * misspeculation (after the kernel rolled its own heap back),
-     * @p discard when the window validated.
-     */
-    void setCheckpointHooks(DomainId domain, std::function<void()> save,
-                            std::function<void()> restore,
-                            std::function<void()> discard);
-
-    // --- time and counters ------------------------------------------
-
-    /** Current simulated time (the executing domain's clock while a
-     *  callback runs; the global clock otherwise). */
-    Tick
-    now() const
-    {
-        if (tlsExec_.owner == this && tlsExec_.dom != nullptr)
-            return tlsExec_.dom->curTick;
-        return curTick_;
-    }
+    /** Current simulated time. */
+    Tick now() const { return curTick_; }
 
     /** Number of events executed since construction. */
     std::uint64_t executed() const { return executed_; }
 
     /** Number of events still pending. */
-    std::size_t pending() const;
-
-    /** Parallel rounds committed (0 under the sequential engine). */
-    std::uint64_t parallelRounds() const { return parallelRounds_; }
-
-    /** Serial fallback rounds (sparse windows or predicate). */
-    std::uint64_t serialRounds() const { return serialRounds_; }
-
-    /** Speculative windows that failed validation. */
-    std::uint64_t misspeculations() const { return misspeculations_; }
-
-    /** Domain rollbacks performed (one per misspeculation). */
-    std::uint64_t rollbacks() const { return rollbacks_; }
-
-    // --- taint (abandon-and-rerun escape hatch) ---------------------
-
-    /**
-     * Mark the run unsalvageable: a synchronous cross-domain access
-     * raced (or would have raced) concurrent execution. run() returns
-     * early; the caller must discard every observable result and
-     * rerun with the sequential engine. This is the correctness
-     * escape hatch for the rare sharing the lookahead protocol cannot
-     * license — it never silently corrupts a result.
-     */
-    void taint(const char *why);
-
-    /** True once taint() was called. */
-    bool
-    tainted() const
-    {
-        return taintFlag_.load(std::memory_order_acquire);
-    }
-
-    /** First taint reason (null when untainted). */
-    const char *
-    taintReason() const
-    {
-        return taintReason_.load(std::memory_order_acquire);
-    }
-
-    /** True while domains execute concurrently (inside a parallel
-     *  round; false during serial rounds and outside run()). */
-    bool
-    inParallelRound() const
-    {
-        return inRound_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Guard for a callback that must run on @p home's thread but is
-     * about to be invoked synchronously from another domain. Returns
-     * false when the call is safe (sequential engine, serial round,
-     * or already on @p home). Otherwise taints the run and returns
-     * true — the caller must skip the callback.
-     */
-    bool crossCallHazard(DomainId home);
-
-    /** Account a synchronous cross-domain read (e.g. an LLC evict
-     *  probe of MC-side state) in the current round. */
-    void noteCrossProbe();
-
-    /** Account a mutation of cross-domain-probed state (e.g. an RT
-     *  NACK filter update) in the current round. */
-    void noteCrossWrite();
-
-    // --- scheduling -------------------------------------------------
+    std::size_t pending() const { return heap.size(); }
 
     /**
      * Schedule @p cb to run at absolute time @p when in the
@@ -234,20 +95,7 @@ class EventQueue
     void
     schedule(Tick when, F &&cb)
     {
-        if (!parallel_) {
-            panic_if(when < curTick_, "scheduling event in the past (",
-                     when, " < ", curTick_, ")");
-            heap.push_back(Node{when, makeKey(curDom_),
-                                makeSlot(chunks, freeSlots, false,
-                                         std::forward<F>(cb)),
-                                curDom_});
-            std::push_heap(heap.begin(), heap.end(), NodeAfter{});
-            return;
-        }
-        Domain *cur =
-            (tlsExec_.owner == this) ? tlsExec_.dom : nullptr;
-        scheduleParallel(cur ? cur->id : kCoreDomain, when,
-                         std::forward<F>(cb));
+        push(curDom_, when, std::forward<F>(cb));
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -255,33 +103,21 @@ class EventQueue
     void
     scheduleAfter(Tick delay, F &&cb)
     {
-        schedule(now() + delay, std::forward<F>(cb));
+        schedule(curTick_ + delay, std::forward<F>(cb));
     }
 
     /**
-     * Schedule @p cb into @p target's domain at absolute @p when.
-     * Cross-domain sends must respect the configured latency floors;
-     * the parallel engine validates this. Under the sequential engine
-     * the target only tags the event (one heap), so execution order
-     * is identical in both engines.
+     * Schedule @p cb into @p target's domain at absolute @p when. The
+     * key still comes from the scheduling domain; the target is the
+     * domain the event runs in, whose counter its own children use.
      */
     template <typename F>
     void
     scheduleIn(DomainId target, Tick when, F &&cb)
     {
-        if (!parallel_) {
-            panic_if(when < curTick_, "scheduling event in the past (",
-                     when, " < ", curTick_, ")");
-            fatal_if(target >= kMaxDomains, "scheduleIn: domain ",
-                     target, " out of range");
-            heap.push_back(Node{when, makeKey(curDom_),
-                                makeSlot(chunks, freeSlots, false,
-                                         std::forward<F>(cb)),
-                                target});
-            std::push_heap(heap.begin(), heap.end(), NodeAfter{});
-            return;
-        }
-        scheduleParallel(target, when, std::forward<F>(cb));
+        fatal_if(target >= kMaxDomains, "scheduleIn: domain ", target,
+                 " out of range");
+        push(target, when, std::forward<F>(cb));
     }
 
     /** scheduleIn() with a delay relative to now(). */
@@ -289,24 +125,18 @@ class EventQueue
     void
     scheduleAfterIn(DomainId target, Tick delay, F &&cb)
     {
-        scheduleIn(target, now() + delay, std::forward<F>(cb));
+        scheduleIn(target, curTick_ + delay, std::forward<F>(cb));
     }
-
-    // --- execution --------------------------------------------------
 
     /**
      * Run events until the queue drains or @p limit is reached.
      *
      * @param limit stop before executing events later than this tick
-     * @return true if the queue drained, false if the limit stopped
-     *         it (or, parallel engine only, the run was tainted —
-     *         check tainted())
+     * @return true if the queue drained, false if the limit stopped it
      */
     bool
     run(Tick limit = maxTick)
     {
-        if (parallel_)
-            return runParallel(limit);
         while (!heap.empty()) {
             if (heap.front().when > limit) {
                 curTick_ = limit;
@@ -321,8 +151,6 @@ class EventQueue
     bool
     step()
     {
-        if (parallel_)
-            return stepParallel();
         if (heap.empty())
             return false;
         popAndExecute();
@@ -346,9 +174,8 @@ class EventQueue
         void (*destroy)(void *); //!< null for trivially destructible
     };
 
-    /** Heap node: plain data, cheap to sift. @c dom is the event's
-     *  home domain (sequential engine: attribution for the send
-     *  counters; parallel engine: redundant with the owning heap). */
+    /** Heap node: plain data, cheap to sift. @c dom is the domain the
+     *  event runs in (whose counter keys its children). */
     struct Node
     {
         Tick when;
@@ -371,138 +198,39 @@ class EventQueue
 
     static constexpr std::size_t slotsPerChunk = 256;
 
-    /** Parallel-mode chunk-vector capacity, pre-reserved so the
-     *  vector never reallocates: other domains read slots through it
-     *  concurrently (entries published by an earlier round's
-     *  barrier), so its data pointer must be stable. 4096 chunks = 1M
-     *  pending callbacks per domain, far beyond any simulated peak;
-     *  growSlab() dies loudly if it is ever hit. */
-    static constexpr std::size_t kParallelChunkReserve = 4096;
-
-    /** Slot ids carry their owning domain in the top bits so commit
-     *  and clear() can return any slot to the right freelist. The
-     *  sequential engine stores plain indices (domain 0). */
-    static constexpr std::uint32_t kDomainShift = 26;
-    static constexpr std::uint32_t kSlotIdxMask =
-        (1u << kDomainShift) - 1;
-
     /** Domain-id bits packed into the low end of a sequence key. */
     static constexpr unsigned kDomBits = 6;
     static constexpr DomainId kMaxDomains = 1u << kDomBits;
 
-    /** A schedule() made during a parallel round, in call order. The
-     *  key is final — assigned at the schedule call from the creator
-     *  domain's counter. Direct children (same-domain, inside the
-     *  window) went straight into the heap and execute this round;
-     *  the record exists so rollback/abort can find their slots. The
-     *  rest are routed to their target heaps at commit. */
-    struct Child
-    {
-        Tick when;
-        std::uint64_t key;
-        std::uint32_t slot;
-        DomainId target;
-        bool direct;
-    };
-
-    /** Per-domain storage plus per-round scratch state. Heap-allocated
-     *  individually (stable addresses, no false sharing through a
-     *  contiguous vector). */
-    struct Domain
-    {
-        DomainId id = 0;
-
-        // Persistent storage (same layout as the sequential engine).
-        std::vector<Node> heap;
-        std::vector<std::unique_ptr<Slot[]>> chunks;
-        std::vector<std::uint32_t> freeSlots;
-        Tick curTick = 0;
-
-        // Round state, written by the owning thread during a round
-        // and by the coordinator between rounds.
-        Tick bound = 0;     //!< conservative window end (exclusive)
-        Tick specBound = 0; //!< execution window end (== bound unless
-                            //!< speculating)
-        Tick lastExecTick = 0;
-        std::uint64_t lastExecKey = 0;
-        bool executedAny = false;
-
-        // Committed execution frontier: highest (when, key) this
-        // domain has irrevocably executed. Cross-domain arrivals at
-        // or below it would violate sequential order — checked on
-        // every insert as a speculation-soundness tripwire.
-        Tick commitHigh = 0;
-        std::uint64_t commitHighKey = 0;
-        bool commitAny = false;
-        bool specAborted = false; //!< speculation produced an unsafe send
-        std::uint64_t roundExecuted = 0;
-        std::uint64_t crossProbes = 0;
-        std::uint64_t crossWrites = 0;
-        std::vector<Child> children;
-        std::vector<std::uint32_t> executedSlots;
-
-        // Speculation checkpoint (kernel-owned heap + counter snapshot
-        // plus component hooks registered by the harness).
-        std::vector<Node> heapSnap;
-        Tick tickSnap = 0;
-        std::uint64_t counterSnap = 0;
-        bool snapped = false;
-        std::function<void()> ckptSave;
-        std::function<void()> ckptRestore;
-        std::function<void()> ckptDiscard;
-    };
-
-    /** Which (queue, domain) the calling thread is executing for.
-     *  Cleared on every execution-region exit, so a stale entry can
-     *  never alias a later EventQueue at the same address. */
-    struct TlsExec
-    {
-        const EventQueue *owner;
-        Domain *dom;
-    };
-    inline static thread_local TlsExec tlsExec_{nullptr, nullptr};
-
-    /** Padded send counter: during a parallel round each domain
-     *  increments only its own entry, so entries must not share a
-     *  cache line. */
-    struct alignas(64) SendCounter
-    {
-        std::uint64_t v = 0;
-    };
-
-    /**
-     * Mint the next sequence key for a schedule call made by
-     * @p creator: (creator's send counter, creator id), compared as
-     * one 64-bit integer. Locally computable, so both engines — and
-     * any interleaving of parallel rounds — assign identical keys to
-     * identical schedule calls, which is the determinism linchpin.
-     */
+    /** Mint the next sequence key for a schedule call made by
+     *  @p creator: (creator's send counter, creator id). */
     std::uint64_t
     makeKey(DomainId creator)
     {
-        return (sendCounters_[creator].v++ << kDomBits) | creator;
-    }
-
-    static std::uint32_t
-    encodeSlot(DomainId d, std::uint32_t idx)
-    {
-        return (static_cast<std::uint32_t>(d) << kDomainShift) | idx;
+        return (sendCounters_[creator]++ << kDomBits) | creator;
     }
 
     Slot &
     slotAt(std::uint32_t id)
     {
-        if (!parallel_)
-            return chunks[id / slotsPerChunk][id % slotsPerChunk];
-        Domain &d = *domains_[id >> kDomainShift];
-        const std::uint32_t i = id & kSlotIdxMask;
-        return d.chunks[i / slotsPerChunk][i % slotsPerChunk];
+        return chunks[id / slotsPerChunk][id % slotsPerChunk];
     }
 
     template <typename F>
-    static std::uint32_t
-    makeSlot(std::vector<std::unique_ptr<Slot[]>> &chunks,
-             std::vector<std::uint32_t> &freeSlots, bool capped, F &&cb)
+    void
+    push(DomainId target, Tick when, F &&cb)
+    {
+        panic_if(when < curTick_, "scheduling event in the past (", when,
+                 " < ", curTick_, ")");
+        heap.push_back(
+            Node{when, makeKey(curDom_), makeSlot(std::forward<F>(cb)),
+                 target});
+        std::push_heap(heap.begin(), heap.end(), NodeAfter{});
+    }
+
+    template <typename F>
+    std::uint32_t
+    makeSlot(F &&cb)
     {
         using Fn = std::decay_t<F>;
         static_assert(sizeof(Fn) <= inlineCallbackBytes,
@@ -511,10 +239,10 @@ class EventQueue
         static_assert(alignof(Fn) <= alignof(std::max_align_t),
                       "over-aligned event callback");
         if (freeSlots.empty())
-            growSlab(chunks, freeSlots, capped);
+            growSlab();
         const std::uint32_t idx = freeSlots.back();
         freeSlots.pop_back();
-        Slot &s = chunks[idx / slotsPerChunk][idx % slotsPerChunk];
+        Slot &s = slotAt(idx);
         ::new (static_cast<void *>(s.storage)) Fn(std::forward<F>(cb));
         s.invoke = [](void *p) { (*static_cast<Fn *>(p))(); };
         if constexpr (std::is_trivially_destructible_v<Fn>)
@@ -524,53 +252,21 @@ class EventQueue
         return idx;
     }
 
-    static void growSlab(std::vector<std::unique_ptr<Slot[]>> &chunks,
-                         std::vector<std::uint32_t> &freeSlots,
-                         bool capped);
+    void growSlab();
 
-    void releaseSlot(std::uint32_t id);
-
-    /** Allocate in the executing domain during a round (the only slab
-     *  this thread owns), in the target's otherwise (no concurrency
-     *  outside rounds — better locality). */
-    template <typename F>
     void
-    scheduleParallel(DomainId target, Tick when, F &&cb)
+    releaseSlot(std::uint32_t id)
     {
-        fatal_if(target >= domains_.size(), "scheduleIn: domain ",
-                 target, " out of range");
-        Domain &alloc =
-            (inRound_.load(std::memory_order_relaxed) &&
-             tlsExec_.owner == this && tlsExec_.dom != nullptr)
-                ? *tlsExec_.dom
-                : *domains_[target];
-        const std::uint32_t slot = encodeSlot(
-            alloc.id, makeSlot(alloc.chunks, alloc.freeSlots, true,
-                               std::forward<F>(cb)));
-        routeEvent(target, when, slot);
+        Slot &s = slotAt(id);
+        if (s.destroy)
+            s.destroy(s.storage);
+        freeSlots.push_back(id);
     }
 
-    void routeEvent(DomainId target, Tick when, std::uint32_t slot);
-
-    // Parallel engine (event_queue.cc).
-    bool runParallel(Tick limit);
-    bool stepParallel();
-    void computeBounds(Tick limitP1);
-    void serialChunk(Tick limit);
-    void runDomainWindow(Domain &d);
-    void runStripe(unsigned threadIdx);
-    void validateSpeculation();
-    void rollbackDomain(Domain &d);
-    void commitRound();
-    void abortRound();
-    void ensureWorkers();
-    void stopWorkers();
-    void workerLoop(unsigned threadIdx);
-
-    /** Pop the earliest event and execute it (sequential engine). The
-     *  node leaves the heap before the callback runs (callbacks
-     *  schedule new events); the slot is released after, so an
-     *  executing callback never aliases a live one. */
+    /** Pop the earliest event and execute it. The node leaves the
+     *  heap before the callback runs (callbacks schedule new events);
+     *  the slot is released after, so an executing callback never
+     *  aliases a live one. */
     void
     popAndExecute()
     {
@@ -586,49 +282,13 @@ class EventQueue
         releaseSlot(top.slot);
     }
 
-    // Sequential-engine storage (domain 0's storage lives in
-    // domains_[0] under the parallel engine; these stay untouched).
     std::vector<Node> heap;
     std::vector<std::unique_ptr<Slot[]>> chunks;
     std::vector<std::uint32_t> freeSlots;
     Tick curTick_ = 0;
     DomainId curDom_ = kCoreDomain; //!< executing event's domain
     std::uint64_t executed_ = 0;
-
-    /** Per-domain send counters, shared by both engines (the
-     *  sequential engine simply indexes them from one thread). */
-    std::array<SendCounter, kMaxDomains> sendCounters_{};
-
-    // Parallel engine.
-    bool parallel_ = false;
-    unsigned threads_ = 1;
-    Tick latCoreToMc_ = 0;
-    Tick latMcToCore_ = 0;
-    Tick specWindow_ = 0;
-    std::vector<std::unique_ptr<Domain>> domains_;
-    std::function<bool()> serialPred_;
-    std::uint64_t parallelRounds_ = 0;
-    std::uint64_t serialRounds_ = 0;
-    std::uint64_t misspeculations_ = 0;
-    std::uint64_t rollbacks_ = 0;
-
-    std::atomic<bool> taintFlag_{false};
-    std::atomic<const char *> taintReason_{nullptr};
-    std::atomic<bool> inRound_{false};
-
-    // Worker pool (spawned lazily on the first parallel round).
-    std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> roundGen_{0};
-    std::atomic<unsigned> doneCount_{0};
-    std::atomic<bool> quit_{false};
-
-    // Spin-then-park round barrier. Both sides spin briefly (cheap
-    // when rounds are back-to-back on an unloaded machine) and fall
-    // back to a condition variable, so an oversubscribed host — more
-    // kernel threads than cores — schedules instead of thrashing.
-    std::mutex barrierMtx_;
-    std::condition_variable cvRound_;
-    std::condition_variable cvDone_;
+    std::array<std::uint64_t, kMaxDomains> sendCounters_{};
 };
 
 } // namespace asap

@@ -93,6 +93,12 @@ Daemon::~Daemon()
     waitStopped();
     if (acceptor.joinable())
         acceptor.join();
+    // The self-pipe outlives the accept thread: requestStop() may
+    // write to it from any thread until the daemon is destroyed.
+    if (wakePipe[0] >= 0) {
+        ::close(wakePipe[0]);
+        ::close(wakePipe[1]);
+    }
 }
 
 bool
@@ -636,12 +642,6 @@ Daemon::shutdownSequence()
     leases.reset();
     sched.reset();
     pool.reset();
-
-    if (wakePipe[0] >= 0) {
-        ::close(wakePipe[0]);
-        ::close(wakePipe[1]);
-        wakePipe[0] = wakePipe[1] = -1;
-    }
 
     live.store(false);
     {

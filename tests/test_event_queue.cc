@@ -2,10 +2,11 @@
  * @file
  * Event-kernel determinism and allocation-behaviour tests.
  *
- * The kernel's ordering contract — events execute in (tick, scheduling
- * sequence) order, whoever scheduled them and from wherever — is what
- * makes every simulation deterministic, so it gets hammered here with
- * randomized schedules. The allocation tests pin down the "zero heap
+ * The kernel's ordering contract — events execute in (tick, creator
+ * domain's send counter, creator domain) order, so within one domain
+ * in the order the schedule calls were made — is what makes every
+ * simulation deterministic, so it gets hammered here with randomized
+ * schedules. The allocation tests pin down the "zero heap
  * allocation in steady state" property the kernel advertises, via the
  * global operator-new hook at the bottom of this file.
  */
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,9 +37,9 @@ namespace
 
 TEST(EventQueueOrder, SameTickRespectsSchedulingOrderAcrossSources)
 {
-    // Events landing on one tick from different "components" (plain
-    // schedule calls and callbacks scheduling more work) must run in
-    // the order the schedule calls were made.
+    // Events one domain schedules onto one tick (plain schedule calls
+    // and callbacks scheduling more work) must run in the order the
+    // schedule calls were made.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&]() {
@@ -145,6 +147,107 @@ TEST(EventQueueOrder, ClearReportsDroppedCountAndKeepsExecuted)
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.executed(), 1u);
     EXPECT_TRUE(eq.run());
+}
+
+// Same-tick ties break on the *creator's* send counter, then the
+// creator's domain id — not on the global order of schedule calls.
+// Each domain counts its own schedule calls; an event runs in the
+// domain it was scheduled into (scheduleIn) or its creator's domain
+// (schedule). Every published result depends on this key, so it is
+// pinned here with hand-computed keys.
+TEST(EventQueueOrder, SameTickTiesBreakOnCreatorCounterThenDomain)
+{
+    EventQueue eq;
+    const DomainId mc0 = EventQueue::mcDomain(0);
+    const DomainId mc1 = EventQueue::mcDomain(1);
+    std::vector<char> order;
+    auto rec = [&order](char c) {
+        return [&order, c]() { order.push_back(c); };
+    };
+
+    // Top level runs as the core domain: core counters 0, 1, 2.
+    eq.scheduleIn(mc0, 1, [&]() {
+        eq.schedule(10, rec('a'));           // mc0 #0 -> (0, mc0)
+        eq.scheduleIn(EventQueue::kCoreDomain, 10,
+                      rec('A'));             // mc0 #1 -> (1, mc0)
+    });
+    eq.scheduleIn(mc1, 1, [&]() {
+        eq.schedule(10, rec('b'));           // mc1 #0 -> (0, mc1)
+        eq.schedule(10, rec('B'));           // mc1 #1 -> (1, mc1)
+    });
+    eq.schedule(1, [&]() {
+        eq.schedule(10, rec('c'));           // core #4 -> (4, core)
+    });
+    eq.schedule(10, rec('d'));               // core #3 -> (3, core)
+    EXPECT_TRUE(eq.run());
+
+    // Global call order would be d, a, A, b, B, c.
+    EXPECT_EQ(std::string(order.begin(), order.end()), "abABdc");
+}
+
+TEST(EventQueueOrder, RandomizedDomainScheduleMatchesKeyModel)
+{
+    // Events in three domains (core, mc0, mc1) spawn children into
+    // random domains at small delays (many same-tick ties). A model
+    // that mints (creator counter, creator domain) keys independently
+    // of the kernel predicts the key of every event; executed
+    // (tick, key) pairs must come out sorted. Delays are >= 1, so all
+    // events of a tick exist before the tick starts.
+    using Key = std::pair<std::uint64_t, DomainId>;
+    std::mt19937 rng(777);
+    for (int trial = 0; trial < 10; ++trial) {
+        EventQueue eq;
+        std::uint64_t counters[3] = {0, 0, 0};
+        DomainId running = EventQueue::kCoreDomain;
+        int budget = 3000;
+        std::vector<std::pair<Tick, Key>> got;
+
+        struct Spawner
+        {
+            EventQueue &eq;
+            std::mt19937 &rng;
+            std::uint64_t *counters;
+            DomainId &running;
+            int &budget;
+            std::vector<std::pair<Tick, Key>> &got;
+
+            /** Schedule one event from @p running's context; @p into
+             *  is its domain (-1 = schedule(), the creator's own). */
+            void
+            add(Tick when, int into)
+            {
+                if (budget-- <= 0)
+                    return;
+                const DomainId creator = running;
+                const Key key{counters[creator]++, creator};
+                const DomainId home =
+                    into < 0 ? creator : static_cast<DomainId>(into);
+                auto cb = [this, when, key, home]() {
+                    got.emplace_back(when, key);
+                    running = home;
+                    const int kids = static_cast<int>(rng() % 3);
+                    for (int k = 0; k < kids; ++k)
+                        add(eq.now() + 1 + rng() % 2,
+                            static_cast<int>(rng() % 4) - 1);
+                    running = EventQueue::kCoreDomain;
+                };
+                if (into < 0)
+                    eq.schedule(when, cb);
+                else
+                    eq.scheduleIn(home, when, cb);
+            }
+        } sp{eq, rng, counters, running, budget, got};
+
+        for (int i = 0; i < 60; ++i)
+            sp.add(rng() % 8, static_cast<int>(rng() % 4) - 1);
+        eq.run();
+
+        ASSERT_EQ(got.size(), eq.executed());
+        EXPECT_GT(counters[1] + counters[2], 0u);
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end()))
+            << "trial " << trial << ": execution order violates "
+            << "(tick, creator counter, creator domain) order";
+    }
 }
 
 // ------------------------------------------------------- allocation

@@ -4,9 +4,12 @@
  * the benches rely on.
  */
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "harness/system.hh"
 #include "pm/recorder.hh"
 #include "sim/log.hh"
 #include "workloads/synthetic.hh"
@@ -15,6 +18,30 @@ namespace asap
 {
 namespace
 {
+
+/** Minor page faults the calling thread has taken so far. */
+long
+threadMinorFaults()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
+}
+
+// Writing the cache tag arrays (an LLC plus four L2s, ~9.5 MB) in full
+// at construction costs 2,336 minor faults per default System on a
+// 4-CPU Linux host. Construction must only fault in what it writes.
+TEST(System, DefaultConstructionFaultsInFewPages)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory takes page faults too";
+#endif
+    { System warm{SimConfig{}}; } // one-time allocator growth
+    const long before = threadMinorFaults();
+    { System sys{SimConfig{}}; }
+    const long faults = threadMinorFaults() - before;
+    EXPECT_LT(faults, 2336 / 4) << faults;
+}
 
 TEST(Runner, FillsAllFigureFields)
 {

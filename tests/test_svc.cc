@@ -525,7 +525,9 @@ TEST(SvcDaemon, ServesConcurrentClients)
     // flight at once.
     std::vector<std::thread> threads;
     std::vector<std::string> errors(3);
-    std::vector<bool> ok(3, false);
+    // One byte per client: vector<bool> packs the flags into one
+    // word, and three threads writing it would race.
+    std::vector<char> ok(3, 0);
     for (int c = 0; c < 3; ++c) {
         threads.emplace_back([&, c] {
             const std::vector<ExperimentJob> jobs =
