@@ -1,5 +1,6 @@
 #include "exp/engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -154,33 +155,67 @@ SweepResult::find(const std::string &workload, ModelKind model,
     return nullptr;
 }
 
+namespace
+{
+
+PermuteSpec
+permuteSpecOf(const ExperimentJob &job)
+{
+    PermuteSpec spec;
+    spec.bound = job.permuteBound;
+    spec.sampleSeed = job.permuteSeed;
+    spec.fault = job.permuteFault;
+    spec.onlyState = job.permuteState;
+    spec.engine = job.permuteEngine;
+    spec.threads = job.permuteThreads;
+    return spec;
+}
+
+/** The payload of Crash or Permute @p job at the crash point @p run
+ *  simulated (it must hold a snapshot for a Permute job). */
 CachedResult
-executeJob(const ExperimentJob &job)
+crashJobResult(const ExperimentJob &job, const CrashedRun &run)
 {
     CachedResult e;
     e.kind = job.kind;
-    if (job.kind == JobKind::Crash) {
-        CrashRunResult cr = runCrashExperiment(job.workload, job.cfg,
-                                               job.params,
-                                               job.crashTick);
-        e.run = std::move(cr.run);
-        e.verdict = std::move(cr.verdict);
-    } else if (job.kind == JobKind::Permute) {
-        PermuteSpec spec;
-        spec.bound = job.permuteBound;
-        spec.sampleSeed = job.permuteSeed;
-        spec.fault = job.permuteFault;
-        spec.onlyState = job.permuteState;
-        spec.engine = job.permuteEngine;
-        spec.threads = job.permuteThreads;
-        CrashRunResult cr = runPermuteExperiment(
-            job.workload, job.cfg, job.params, job.crashTick, spec);
-        e.run = std::move(cr.run);
-        e.verdict = std::move(cr.verdict);
-    } else {
-        e.run = runExperiment(job.workload, job.cfg, job.params);
-    }
+    e.run = run.run;
+    e.verdict = job.kind == JobKind::Crash
+                    ? crashVerdict(run)
+                    : permuteVerdict(run, permuteSpecOf(job));
     return e;
+}
+
+/** The key of the crash point @p job checks: its own key as a Crash
+ *  job with every permute field at its default. Jobs with equal
+ *  prefix keys replay the same simulation up to the same crash. */
+std::string
+prefixKey(const ExperimentJob &job)
+{
+    ExperimentJob point;
+    point.workload = job.workload;
+    point.cfg = job.cfg;
+    point.params = job.params;
+    point.kind = JobKind::Crash;
+    point.crashTick = job.crashTick;
+    return jobKey(point);
+}
+
+} // namespace
+
+CachedResult
+executeJob(const ExperimentJob &job)
+{
+    if (job.kind == JobKind::Run) {
+        CachedResult e;
+        e.kind = job.kind;
+        e.run = runExperiment(job.workload, job.cfg, job.params);
+        return e;
+    }
+    return crashJobResult(
+        job, simulateCrash(job.workload, job.cfg, job.params,
+                           job.crashTick,
+                           /*capture_snapshot=*/job.kind ==
+                               JobKind::Permute));
 }
 
 namespace
@@ -213,6 +248,180 @@ class TaskLatch
     std::mutex mu;
     std::condition_variable cv;
     std::size_t remaining;
+};
+
+/**
+ * Runs the jobs of one runJobs call that the cache could not serve,
+ * simulating each crash point once.
+ *
+ * Crash and Permute jobs with one prefix key form a group. The group's
+ * first job (its leader) simulates up to the crash and freezes the
+ * result in a shared CrashedRun. It finishes its own job, then submits
+ * every other job of the group (a follower) as a task of its own that
+ * derives its verdict from that CrashedRun. The last follower to
+ * finish frees it. Run jobs and single-job groups run executeJob.
+ *
+ * Jobs are admitted in job order, with at most kLiveGroupsPerWorker x
+ * width groups live (admitted and not yet finished). That bounds the
+ * CrashedRuns held at once, and a follower queues behind at most that
+ * many leaders. No task waits for another: a follower is submitted
+ * only once its CrashedRun exists.
+ */
+class JobScheduler
+{
+  public:
+    JobScheduler(SweepResult &sr, const std::vector<std::string> &keys,
+                 const std::vector<std::size_t> &to_run,
+                 ResultCache &cache, TaskExecutor &exec,
+                 ProgressMeter *meter)
+        : sr(sr), keys(keys), cache(cache), exec(exec), meter(meter),
+          window(kLiveGroupsPerWorker * std::max(1u, exec.width())),
+          latch(to_run.size())
+    {
+        std::unordered_map<std::string, std::size_t> groupOf;
+        for (std::size_t i : to_run) {
+            if (sr.jobs[i].kind == JobKind::Run) {
+                units.push_back({i});
+                continue;
+            }
+            const auto [it, fresh] =
+                groupOf.emplace(prefixKey(sr.jobs[i]), units.size());
+            if (fresh)
+                units.push_back({i});
+            else
+                units[it->second].push_back(i);
+        }
+        followersLeft.resize(units.size());
+    }
+
+    // Tasks hold `this`.
+    JobScheduler(const JobScheduler &) = delete;
+    JobScheduler &operator=(const JobScheduler &) = delete;
+
+    /** Run every job; returns when all have finished. */
+    void
+    run()
+    {
+        admit();
+        latch.wait();
+    }
+
+  private:
+    static constexpr unsigned kLiveGroupsPerWorker = 2;
+
+    using Clock = std::chrono::steady_clock;
+
+    /** Submit units in order until the group window is full. */
+    void
+    admit()
+    {
+        std::vector<std::size_t> ready;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            for (; nextUnit < units.size(); ++nextUnit) {
+                if (units[nextUnit].size() > 1) {
+                    if (liveGroups == window)
+                        break;
+                    ++liveGroups;
+                }
+                ready.push_back(nextUnit);
+            }
+        }
+        for (std::size_t u : ready) {
+            if (units[u].size() > 1)
+                exec.submit([this, u] { runLeader(u); });
+            else
+                exec.submit([this, i = units[u][0]] { runSingle(i); });
+        }
+    }
+
+    void
+    runSingle(std::size_t i)
+    {
+        const Clock::time_point start = Clock::now();
+        finish(i, executeJob(sr.jobs[i]), start);
+        latch.done();
+    }
+
+    void
+    runLeader(std::size_t u)
+    {
+        const Clock::time_point start = Clock::now();
+        const std::vector<std::size_t> &group = units[u];
+        bool snapshot = false;
+        for (std::size_t i : group)
+            snapshot |= sr.jobs[i].kind == JobKind::Permute;
+        const ExperimentJob &leader = sr.jobs[group.front()];
+        const std::shared_ptr<const CrashedRun> crashed =
+            std::make_shared<const CrashedRun>(
+                simulateCrash(leader.workload, leader.cfg, leader.params,
+                              leader.crashTick, snapshot));
+        finish(group.front(), crashJobResult(leader, *crashed), start);
+
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            followersLeft[u] = group.size() - 1;
+        }
+        for (std::size_t k = 1; k < group.size(); ++k) {
+            exec.submit([this, u, i = group[k], crashed]() mutable {
+                runFollower(u, i, std::move(crashed));
+            });
+        }
+        latch.done();
+    }
+
+    void
+    runFollower(std::size_t u, std::size_t i,
+                std::shared_ptr<const CrashedRun> crashed)
+    {
+        const Clock::time_point start = Clock::now();
+        CachedResult e = crashJobResult(sr.jobs[i], *crashed);
+        crashed.reset(); // the last follower frees the crashed run
+        finish(i, std::move(e), start);
+
+        bool retired;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            retired = --followersLeft[u] == 0;
+            if (retired)
+                --liveGroups;
+        }
+        if (retired)
+            admit();
+        latch.done();
+    }
+
+    /** Cache and store job @p i's payload (each task writes only its
+     *  own slot, so assembly is deterministic whatever the order). */
+    void
+    finish(std::size_t i, CachedResult e, Clock::time_point start)
+    {
+        cache.insert(keys[i], e);
+        sr.results[i] = std::move(e.run);
+        sr.verdicts[i] = std::move(e.verdict);
+        if (meter) {
+            meter->jobDone(
+                std::chrono::duration<double>(Clock::now() - start)
+                    .count());
+        }
+    }
+
+    SweepResult &sr;
+    const std::vector<std::string> &keys;
+    ResultCache &cache;
+    TaskExecutor &exec;
+    ProgressMeter *const meter;
+    const std::size_t window;
+    TaskLatch latch;
+
+    /** Admission units in job order: a Run job, or the jobs of one
+     *  prefix group, leader first. Fixed after construction. */
+    std::vector<std::vector<std::size_t>> units;
+
+    std::mutex mu;
+    std::size_t nextUnit = 0;   //!< guarded by mu
+    std::size_t liveGroups = 0; //!< guarded by mu
+    std::vector<std::size_t> followersLeft; //!< guarded by mu
 };
 
 } // namespace
@@ -266,30 +475,13 @@ runJobs(std::vector<ExperimentJob> jobs, const RunOptions &opt)
             ownPool = std::make_unique<ThreadPool>(opt.jobs);
             exec = ownPool.get();
         }
-        TaskLatch latch(toRun.size());
         std::unique_ptr<ProgressMeter> meter;
         if (opt.progress) {
             meter = std::make_unique<ProgressMeter>(
                 sr.jobs.size(), sr.jobs.size() - toRun.size(),
                 exec->width());
         }
-        for (std::size_t i : toRun) {
-            exec->submit([&sr, &cache, &keys, &meter, &latch, i] {
-                const auto jobStart = std::chrono::steady_clock::now();
-                CachedResult e = executeJob(sr.jobs[i]);
-                cache.insert(keys[i], e);
-                sr.results[i] = std::move(e.run);
-                sr.verdicts[i] = std::move(e.verdict);
-                if (meter) {
-                    meter->jobDone(std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       jobStart)
-                                       .count());
-                }
-                latch.done();
-            });
-        }
-        latch.wait();
+        JobScheduler(sr, keys, toRun, cache, *exec, meter.get()).run();
     }
 
     for (std::size_t i = 0; i < sr.jobs.size(); ++i) {

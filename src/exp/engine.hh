@@ -8,6 +8,9 @@
  *    count — output is byte-identical for --jobs 1 and --jobs N;
  *  - each distinct configuration simulates at most once per process
  *    (duplicates within a sweep and across sweeps hit the cache);
+ *  - each crash point simulates once per sweep: the Crash and Permute
+ *    jobs at one (workload, config, params, tick) share one crashed
+ *    run (see src/exp/README.md, "Prefix groups");
  *  - workers never interleave partial log lines (sim/log.cc routes
  *    every message through one locked write path).
  */

@@ -345,23 +345,30 @@ runExperiment(const std::string &workload, ModelKind model,
     return runExperiment(workload, cfg, p);
 }
 
-CrashRunResult
-runCrashExperiment(const std::string &workload, const SimConfig &cfg,
-                   const WorkloadParams &p, Tick crash_tick)
+CrashedRun
+simulateCrash(const std::string &workload, const SimConfig &cfg,
+              const WorkloadParams &p, Tick crash_tick,
+              bool capture_snapshot)
 {
+    CrashedRun out;
     System sys(cfg, /*keep_run_log=*/true);
     sys.loadTrace(obtainJobTrace(workload, cfg, p));
     const std::uint64_t t0 = hostNowNs();
-    sys.crashAt(crash_tick);
+    if (capture_snapshot) {
+        sys.crashAt(crash_tick, [&out, &sys]() {
+            out.snapshot = capturePermuteSnapshot(sys);
+        });
+    } else {
+        sys.crashAt(crash_tick);
+    }
     const std::uint64_t simNs = hostNowNs() - t0;
     profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
     profSimRuns.fetch_add(1, std::memory_order_relaxed);
 
-    CrashRunResult out;
     out.run = extractResult(sys, workload, cfg);
     out.run.hostNs = simNs;
 
-    CrashVerdict &v = out.verdict;
+    CrashVerdict &v = out.base;
     v.crashTick = crash_tick;
     v.actualTick = sys.runTicks();
     v.committedUpTo = sys.committedUpTo();
@@ -374,26 +381,49 @@ runCrashExperiment(const std::string &workload, const SimConfig &cfg,
     v.undoReplayed = sys.stats().get("mc.undoRewindWrites");
     v.adrDrainWrites = sys.stats().get("mc.adrDrainWrites");
 
+    // The system is torn down on return; keep only what the verdicts
+    // read.
+    out.nvm = std::move(sys.nvm());
+    out.log = std::move(sys.runLog());
+    return out;
+}
+
+CrashVerdict
+crashVerdict(const CrashedRun &run)
+{
+    CrashVerdict v = run.base;
     // Check through the shared index: a permute job probing the same
     // tick (same log) reuses this build instead of re-indexing.
     const std::uint64_t c0 = hostNowNs();
     const std::shared_ptr<const CheckerIndex> index =
-        sharedCheckerIndex(sys.runLog());
+        sharedCheckerIndex(run.log);
     const CheckResult check =
-        index->check(NvmView(sys.nvm()), v.committedUpTo);
+        index->check(NvmView(run.nvm), v.committedUpTo);
     profCheckNs.fetch_add(hostNowNs() - c0, std::memory_order_relaxed);
     v.consistent = check.ok;
     v.message = check.message;
+    return v;
+}
+
+CrashRunResult
+runCrashExperiment(const std::string &workload, const SimConfig &cfg,
+                   const WorkloadParams &p, Tick crash_tick)
+{
+    CrashedRun run = simulateCrash(workload, cfg, p, crash_tick,
+                                   /*capture_snapshot=*/false);
+    CrashRunResult out;
+    out.verdict = crashVerdict(run);
+    out.run = std::move(run.run);
     return out;
 }
 
 permute::PermuteSnapshot
-capturePermuteSnapshot(System &sys)
+capturePermuteSnapshot(const System &sys)
 {
     permute::PermuteSnapshot snap;
     const SimConfig &cfg = sys.config();
     for (unsigned i = 0; i < cfg.numMCs; ++i) {
-        MemoryController &mc = sys.mc(i);
+        const MemoryController &mc = sys.mc(i);
         permute::McSnapshot ms;
         ms.mc = i;
         if (const RecoveryPolicy *pol = mc.policy())
@@ -411,10 +441,8 @@ capturePermuteSnapshot(System &sys)
     return snap;
 }
 
-CrashRunResult
-runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
-                     const WorkloadParams &p, Tick crash_tick,
-                     const PermuteSpec &spec)
+CrashVerdict
+permuteVerdict(const CrashedRun &run, const PermuteSpec &spec)
 {
     permute::PermuteOptions opt;
     opt.bound = spec.bound == 0 ? 1 : spec.bound;
@@ -433,36 +461,12 @@ runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
              permute::permuteEngineNames(), ")");
     opt.threads = spec.threads;
 
-    System sys(cfg, /*keep_run_log=*/true);
-    sys.loadTrace(obtainJobTrace(workload, cfg, p));
-    permute::PermuteSnapshot snap;
-    const std::uint64_t t0 = hostNowNs();
-    sys.crashAt(crash_tick,
-                [&snap, &sys]() { snap = capturePermuteSnapshot(sys); });
-    const std::uint64_t simNs = hostNowNs() - t0;
-    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
-    profSimRuns.fetch_add(1, std::memory_order_relaxed);
-
-    CrashRunResult out;
-    out.run = extractResult(sys, workload, cfg);
-    out.run.hostNs = simNs;
-
-    CrashVerdict &v = out.verdict;
-    v.crashTick = crash_tick;
-    v.actualTick = sys.runTicks();
-    v.committedUpTo = sys.committedUpTo();
-    v.storesLogged = sys.runLog().allStores().size();
-    for (const auto &[line, value] : sys.nvm().all()) {
-        (void)line;
-        if (value != 0)
-            ++v.linesSurvived;
-    }
-    v.undoReplayed = sys.stats().get("mc.undoRewindWrites");
-    v.adrDrainWrites = sys.stats().get("mc.adrDrainWrites");
-
+    panic_if(!run.snapshot,
+             "permuteVerdict: the crash point has no permuter snapshot");
+    CrashVerdict v = run.base;
     const std::uint64_t c0 = hostNowNs();
     const permute::PermuteReport rep = permute::permuteAndCheck(
-        snap, opt, sys.nvm(), sys.runLog(), v.committedUpTo);
+        *run.snapshot, opt, run.nvm, run.log, v.committedUpTo);
     const std::uint64_t checkNs = hostNowNs() - c0;
     profCheckNs.fetch_add(checkNs, std::memory_order_relaxed);
     v.permuteNs = checkNs;
@@ -479,6 +483,19 @@ runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
         v.message = "state " + v.firstBadState + ": " +
                     rep.firstBadMessage;
     }
+    return v;
+}
+
+CrashRunResult
+runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
+                     const WorkloadParams &p, Tick crash_tick,
+                     const PermuteSpec &spec)
+{
+    CrashedRun run = simulateCrash(workload, cfg, p, crash_tick,
+                                   /*capture_snapshot=*/true);
+    CrashRunResult out;
+    out.verdict = permuteVerdict(run, spec);
+    out.run = std::move(run.run);
     return out;
 }
 

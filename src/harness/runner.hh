@@ -10,9 +10,13 @@
 #define ASAP_HARNESS_RUNNER_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "mem/nvm_contents.hh"
+#include "permute/permute.hh"
+#include "recovery/run_log.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -92,6 +96,10 @@ struct RunResult
 
     /** Per-core cycles, for normalising blocked/stall percentages. */
     std::uint64_t totalCoreCycles() const { return runTicks * cores; }
+
+    /** Field-wise, hostNs included: zero it on both sides to compare
+     *  what two separate runs simulated. */
+    bool operator==(const RunResult &) const = default;
 };
 
 /**
@@ -140,8 +148,10 @@ struct HostProfile
     std::uint64_t traceLoadNs = 0; //!< loading TraceSets from disk
     std::uint64_t simulateNs = 0;  //!< System::run / crashAt
     std::uint64_t checkNs = 0;     //!< recovery-consistency checking
-    std::uint64_t simRuns = 0;     //!< simulations measured
-
+    /** Simulations run: one per runExperiment and one per simulated
+     *  crash point (simulateCrash). Jobs that share a crash point in
+     *  runJobs count once, so this is not the crash-job count. */
+    std::uint64_t simRuns = 0;
 };
 
 /** Snapshot of the process-wide phase timers. */
@@ -201,6 +211,9 @@ struct CrashVerdict
     std::uint64_t permuteNs = 0;
 
     explicit operator bool() const { return consistent; }
+
+    /** Field-wise, permuteNs included (see RunResult::operator==). */
+    bool operator==(const CrashVerdict &) const = default;
 };
 
 /** A crashed run: stats up to the failure, plus the checker verdict. */
@@ -209,6 +222,39 @@ struct CrashRunResult
     RunResult run;
     CrashVerdict verdict;
 };
+
+/**
+ * One simulated crash point, frozen after the failure: everything the
+ * Crash and Permute verdicts at that (configuration, tick) read. It is
+ * never modified once built, so jobs on other threads may derive their
+ * verdicts from one shared copy (runJobs simulates each point once).
+ */
+struct CrashedRun
+{
+    RunResult run; //!< stats up to the failure
+    /** The verdict fields every job at this point shares: crashTick,
+     *  actualTick, committedUpTo, storesLogged, linesSurvived,
+     *  undoReplayed, adrDrainWrites. The rest stay default. */
+    CrashVerdict base;
+    NvmContents nvm; //!< canonical post-crash image
+    RunLog log;      //!< stores and dependency edges up to the crash
+    /** Persist-path state at the failure instant (only when
+     *  simulateCrash was asked to capture it). */
+    std::optional<permute::PermuteSnapshot> snapshot;
+};
+
+/**
+ * Run @p workload under @p cfg, inject a power failure at
+ * @p crash_tick, drain the ADR domain and rewind speculation. With
+ * @p capture_snapshot the permuter's snapshot is taken at the failure
+ * instant; that only reads state, so the crash is the same either way.
+ */
+CrashedRun simulateCrash(const std::string &workload, const SimConfig &cfg,
+                         const WorkloadParams &p, Tick crash_tick,
+                         bool capture_snapshot);
+
+/** Check the canonical post-crash state of @p run against its log. */
+CrashVerdict crashVerdict(const CrashedRun &run);
 
 /**
  * Run @p workload under @p cfg, inject a power failure at
@@ -221,10 +267,6 @@ CrashRunResult runCrashExperiment(const std::string &workload,
                                   Tick crash_tick);
 
 class System;
-namespace permute
-{
-struct PermuteSnapshot;
-}
 
 /**
  * Harvest the live persist-path state the permuter enumerates over:
@@ -232,9 +274,9 @@ struct PermuteSnapshot;
  * record's line, plus the commit-in-flight epochs. Call it from
  * System::crashAt's hook, at the instant of failure: the canonical
  * crash path that runs right after consumes (erases, drains, rewinds)
- * exactly this state.
+ * exactly this state. It only reads the system.
  */
-permute::PermuteSnapshot capturePermuteSnapshot(System &sys);
+permute::PermuteSnapshot capturePermuteSnapshot(const System &sys);
 
 /** Knobs for one crash-state permutation experiment. */
 struct PermuteSpec
@@ -257,11 +299,17 @@ struct PermuteSpec
 };
 
 /**
+ * Run the checker over every reachable post-crash NVM state of @p run
+ * (src/permute), which must hold a captured snapshot. The verdict's
+ * consistency covers all checked states; coverage lands in the
+ * statesChecked/statesReachable fields.
+ */
+CrashVerdict permuteVerdict(const CrashedRun &run, const PermuteSpec &spec);
+
+/**
  * Like runCrashExperiment, but instead of checking only the canonical
  * post-crash state, snapshot the persist-path state at the crash
- * instant and run the checker over every reachable post-crash NVM
- * state (src/permute). The verdict's consistency covers all checked
- * states; coverage lands in the statesChecked/statesReachable fields.
+ * instant and check every reachable post-crash state (permuteVerdict).
  */
 CrashRunResult runPermuteExperiment(const std::string &workload,
                                     const SimConfig &cfg,

@@ -91,7 +91,13 @@ class System
     RunLog &runLog() { return log; }
     EventQueue &eventQueue() { return eq; }
     PersistModel &model(std::uint16_t thread) { return *models[thread]; }
+    const PersistModel &
+    model(std::uint16_t thread) const
+    {
+        return *models[thread];
+    }
     MemoryController &mc(unsigned i) { return *mcs[i]; }
+    const MemoryController &mc(unsigned i) const { return *mcs[i]; }
     const SimConfig &config() const { return cfg; }
 
   private:

@@ -291,14 +291,16 @@ class StateMeter
 // --- naive engine --------------------------------------------------------
 
 /** The original check loop, kept as the benchmark baseline: full
- *  image hash per state, mutate-check-revert plus a one-shot
- *  (re-indexing) checkCrashConsistency per distinct image. */
+ *  image hash per state, mutate-check-revert on a private copy of the
+ *  image plus a one-shot (re-indexing) checkCrashConsistency per
+ *  distinct image. */
 void
 runNaive(const MaskPlan &plan, const std::vector<LineEffect> &effects,
-         NvmContents &nvm, const RunLog &log,
+         const NvmContents &canonical, const RunLog &log,
          const std::vector<std::uint64_t> &committed_up_to,
          PermuteReport &rep, StateMeter *meter)
 {
+    NvmContents nvm = canonical;
     std::unordered_map<std::uint64_t, std::pair<bool, std::string>>
         verdictByKey;
     std::uint64_t sinceTick = 0;
@@ -795,7 +797,7 @@ stateOverlay(const PermuteSnapshot &snap, const std::vector<Atom> &atoms,
 
 PermuteReport
 permuteAndCheck(const PermuteSnapshot &snap, const PermuteOptions &opt,
-                NvmContents &nvm, const RunLog &log,
+                const NvmContents &nvm, const RunLog &log,
                 const std::vector<std::uint64_t> &committed_up_to)
 {
     PermuteReport rep;

@@ -48,10 +48,10 @@
  * Engines. Two check loops produce bit-identical reports:
  *
  *  - Naive: the original loop. Per state, rebuild every line's final
- *    value, hash the full image, and on a distinct image mutate the
- *    shared NvmContents, run the one-shot checker (which re-indexes
- *    the run log), and revert. O(effects) per state + O(log) per
- *    distinct image. Kept unchanged as the benchmark baseline.
+ *    value, hash the full image, and on a distinct image mutate a
+ *    private copy of the NvmContents, run the one-shot checker (which
+ *    re-indexes the run log), and revert. O(effects) per state +
+ *    O(log) per distinct image. Kept as the benchmark baseline.
  *  - Incremental (default): enumerate the exhaustive space in
  *    reflected Gray-code order so consecutive states differ in one
  *    atom; a per-atom inverted index updates only the lines that atom
@@ -212,7 +212,7 @@ struct PermuteOptions
     /**
      * Worker threads for the incremental engine's segment checks:
      * 1 = inline (no pool), 0 = one per hardware thread. Ignored by
-     * the naive engine, which shares mutable state across checks.
+     * the naive engine, which mutates one image copy across checks.
      */
     unsigned threads = 1;
 };
@@ -239,16 +239,16 @@ constexpr unsigned kMaxAtoms = 63;
 
 /**
  * Enumerate the reachable states and run the recovery checker on
- * each. @p nvm must hold the canonical post-crash state. The naive
- * engine mutates it per state and restores it before returning; the
- * incremental engine only reads it (states are checked through a
- * copy-on-write overlay). Either way @p nvm is bit-identical to its
- * input when the call returns. Duplicate NVM images (different masks,
- * same bytes) are checked once and counted per mask.
+ * each. @p nvm must hold the canonical post-crash state and is only
+ * read: the naive engine mutates a private copy of it, the
+ * incremental engine checks states through a copy-on-write overlay.
+ * So concurrent calls may share one image. Duplicate NVM images
+ * (different masks, same bytes) are checked once and counted per
+ * mask.
  */
 PermuteReport
 permuteAndCheck(const PermuteSnapshot &snap, const PermuteOptions &opt,
-                NvmContents &nvm, const RunLog &log,
+                const NvmContents &nvm, const RunLog &log,
                 const std::vector<std::uint64_t> &committed_up_to);
 
 /** Format / parse a state mask as the --repro hex token (no 0x). */

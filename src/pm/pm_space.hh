@@ -13,7 +13,9 @@
 #define ASAP_PM_PM_SPACE_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "sim/log.hh"
@@ -33,13 +35,22 @@ isPmAddr(std::uint64_t addr)
     return addr >= pmBase && addr < dramBase;
 }
 
-/** Byte-addressable functional PM with an allocator. */
+/**
+ * Byte-addressable functional PM with an allocator. The store comes
+ * from calloc, which maps a large block as untouched zero pages, so
+ * a trace build faults in only the pages its workload writes, not
+ * the whole capacity.
+ */
 class PmSpace
 {
   public:
     explicit PmSpace(std::size_t capacity_bytes = 64ull << 20)
-        : bytes(capacity_bytes, 0)
+        : bytes(static_cast<std::uint8_t *>(
+              std::calloc(capacity_bytes ? capacity_bytes : 1, 1))),
+          capacity(capacity_bytes)
     {
+        fatal_if(!bytes, "cannot allocate ", capacity_bytes,
+                 " bytes of simulated PM");
     }
 
     /**
@@ -59,8 +70,8 @@ class PmSpace
             return addr;
         }
         bump = (bump + align - 1) & ~(align - 1);
-        fatal_if(bump + size > bytes.size(),
-                 "simulated PM exhausted (", bytes.size(), " bytes)");
+        fatal_if(bump + size > capacity,
+                 "simulated PM exhausted (", capacity, " bytes)");
         std::uint64_t addr = pmBase + bump;
         bump += size;
         return addr;
@@ -136,20 +147,26 @@ class PmSpace
     const std::uint8_t *
     ptr(std::uint64_t addr) const
     {
-        panic_if(addr < pmBase || addr - pmBase >= bytes.size(),
+        panic_if(addr < pmBase || addr - pmBase >= capacity,
                  "PM access out of range: ", addr);
-        return bytes.data() + (addr - pmBase);
+        return bytes.get() + (addr - pmBase);
     }
 
     std::uint8_t *
     ptr(std::uint64_t addr)
     {
-        panic_if(addr < pmBase || addr - pmBase >= bytes.size(),
+        panic_if(addr < pmBase || addr - pmBase >= capacity,
                  "PM access out of range: ", addr);
-        return bytes.data() + (addr - pmBase);
+        return bytes.get() + (addr - pmBase);
     }
 
-    std::vector<std::uint8_t> bytes;
+    struct FreeBytes
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<std::uint8_t[], FreeBytes> bytes;
+    std::size_t capacity;
     std::size_t bump = 0;
     std::size_t vbump = 0;
     std::vector<std::vector<std::uint64_t>> freeLists;

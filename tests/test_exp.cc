@@ -382,6 +382,72 @@ TEST(Engine, TraceMemoizationCountsHitsAndMisses)
     EXPECT_GE(stats.misses, 1u);
 }
 
+TEST(Engine, CrashPointJobsShareOneSimulation)
+{
+    setLogQuiet(true);
+    WorkloadParams p = tinyParams();
+    SimConfig asapRp;
+    asapRp.model = ModelKind::Asap;
+    asapRp.persistency = PersistencyModel::Release;
+    asapRp.numCores = 4;
+    asapRp.seed = p.seed;
+    SimConfig hopsEp = asapRp;
+    hopsEp.model = ModelKind::Hops;
+    hopsEp.persistency = PersistencyModel::Epoch;
+
+    // Three points per config inside the run: at each, a Crash job, a
+    // Permute job and a drop-undo Permute job share one crash prefix.
+    JobSet set;
+    constexpr std::size_t kPoints = 6;
+    for (const SimConfig &cfg : {asapRp, hopsEp}) {
+        const Tick end = runExperiment("queue", cfg, p).runTicks;
+        for (Tick q = 1; q <= 3; ++q) {
+            const Tick tick = end * q / 4;
+            set.addCrash("queue", cfg, p, tick);
+            set.addPermute("queue", cfg, p, tick, 4096, 1);
+            set.addPermute("queue", cfg, p, tick, 128, 1, "drop-undo");
+        }
+    }
+    set.add("queue", asapRp, p);
+    std::vector<ExperimentJob> jobs = set.jobs();
+    jobs.push_back(jobs[1]); // an exact duplicate of a Permute job
+
+    // Each job alone, simulating its own prefix.
+    std::vector<CachedResult> alone;
+    for (const ExperimentJob &j : jobs)
+        alone.push_back(executeJob(j));
+
+    for (unsigned workers : {1u, 4u}) {
+        ResultCache cache;
+        RunOptions opt;
+        opt.jobs = workers;
+        opt.cache = &cache;
+        const std::uint64_t before = hostProfile().simRuns;
+        const SweepResult sr = runJobs(jobs, opt);
+        // One simulation per crash point plus the Run job, not one
+        // per distinct job (19).
+        EXPECT_EQ(hostProfile().simRuns - before, kPoints + 1)
+            << workers << " workers";
+        EXPECT_EQ(sr.uniqueRuns, jobs.size() - 1);
+        EXPECT_EQ(sr.cacheHits, 1u);
+
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            RunResult got = sr.results[i];
+            RunResult want = alone[i].run;
+            got.hostNs = want.hostNs = 0;
+            EXPECT_TRUE(got == want) << "job " << i << ", " << workers
+                                     << " workers";
+            if (jobs[i].kind == JobKind::Run)
+                continue;
+            CrashVerdict gotV = sr.verdicts[i];
+            CrashVerdict wantV = alone[i].verdict;
+            gotV.permuteNs = wantV.permuteNs = 0;
+            EXPECT_TRUE(gotV == wantV) << "job " << i << ", " << workers
+                                       << " workers";
+        }
+    }
+}
+
 TEST(Engine, FindLocatesResultsByTuple)
 {
     setLogQuiet(true);

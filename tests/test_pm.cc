@@ -5,17 +5,29 @@
  * release board.
  */
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "cpu/release_board.hh"
 #include "pm/pm_space.hh"
 #include "pm/recorder.hh"
 #include "sim/log.hh"
+#include "workloads/registry.hh"
 
 namespace asap
 {
 namespace
 {
+
+/** Minor page faults the calling thread has taken so far. */
+long
+threadMinorFaults()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
+}
 
 // ---------------------------------------------------------------- space
 
@@ -66,6 +78,39 @@ TEST(PmSpace, VolatileRegionDisjoint)
     const std::uint64_t v = pm.allocVolatile(64);
     EXPECT_FALSE(isPmAddr(v));
     EXPECT_TRUE(isPmAddr(pm.alloc(64)));
+}
+
+// A zero-filled 64 MB store faults in all 16,384 of its 4 KB pages at
+// construction, so every trace build paid ~16.4k minor faults whatever
+// its size. Only the pages a workload touches may fault.
+TEST(PmSpace, DefaultConstructionFaultsInFewPages)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory takes page faults too";
+#endif
+    { PmSpace warm; } // one-time allocator growth
+    const long before = threadMinorFaults();
+    {
+        PmSpace pm;
+        pm.write64(pm.alloc(64), 1);
+        EXPECT_EQ(pm.read64(pmBase + (32ull << 20)), 0u);
+    }
+    const long faults = threadMinorFaults() - before;
+    EXPECT_LT(faults, 64) << faults;
+}
+
+TEST(PmSpace, TraceBuildFaultsScaleWithTheWorkload)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory takes page faults too";
+#endif
+    WorkloadParams p;
+    p.opsPerThread = 30;
+    (void)buildTrace("queue", 4, p); // one-time allocator growth
+    const long before = threadMinorFaults();
+    (void)buildTrace("queue", 4, p);
+    const long faults = threadMinorFaults() - before;
+    EXPECT_LT(faults, 1024) << faults;
 }
 
 TEST(PmSpaceDeath, OutOfRangePanics)
