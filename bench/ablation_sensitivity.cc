@@ -80,7 +80,7 @@ main(int argc, char **argv)
 
     if (maybeRunShard(args, set.jobs()))
         return 0;
-    const SweepResult sr = runBenchJobs(args, set.jobs());
+    const SweepResult sr = runJobs(set.jobs(), args.options());
 
     std::printf("=== Ablation: recovery-table entries (ASAP, %s) ===\n",
                 w.c_str());

@@ -19,9 +19,10 @@
  *   --claim        with --shard: also reclaim dead shards' jobs
  *   --salt S       re-deal the shard partition (must match cluster-wide)
  *   --lease-ttl S  claim-protocol lease staleness threshold (seconds)
- *   --daemon SOCK  execute the sweep on the asapd at SOCK instead of
- *                  in-process (bench/asapd); tables and artifacts are
- *                  byte-identical either way
+ *
+ * Numeric flag values go through parseFlagU64() and friends: a value
+ * that is not one whole number ("12x", "abc", "") exits 2 naming the
+ * flag instead of being read as its numeric prefix or as 0.
  *
  * Benches build an ExperimentJob list (JobSet or SweepSpec), run it
  * through the exp engine, and format tables from the deterministic,
@@ -33,7 +34,11 @@
 #define ASAP_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,16 +48,65 @@
 #include "dist/executor.hh"
 #include "dist/shard.hh"
 #include "media/media.hh"
+#include "exp/crash_campaign.hh"
 #include "exp/emit.hh"
 #include "exp/engine.hh"
 #include "exp/sweep.hh"
 #include "harness/runner.hh"
 #include "sim/log.hh"
-#include "svc/client.hh"
 #include "workloads/registry.hh"
 
 namespace asap
 {
+
+/** Exit 2 because @p text is not a valid value for @p flag. */
+[[noreturn]] inline void
+badFlagValue(const char *flag, const char *text, const char *want)
+{
+    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag, want,
+                 text);
+    std::exit(2);
+}
+
+/**
+ * The value of numeric flag @p flag: a whole non-negative integer
+ * (decimal, or 0x-hex / 0-octal as strtoull reads them). Anything else
+ * — a sign, trailing junk, an empty string, overflow — exits 2.
+ */
+inline std::uint64_t
+parseFlagU64(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        badFlagValue(flag, text, "a non-negative integer");
+    return v;
+}
+
+/** parseFlagU64() narrowed to unsigned (larger values exit 2). */
+inline unsigned
+parseFlagUnsigned(const char *flag, const char *text)
+{
+    const std::uint64_t v = parseFlagU64(flag, text);
+    if (v > UINT_MAX)
+        badFlagValue(flag, text, "an integer that fits in 32 bits");
+    return static_cast<unsigned>(v);
+}
+
+/** The value of a non-negative real flag (seconds, say). */
+inline double
+parseFlagDouble(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || v < 0)
+        badFlagValue(flag, text, "a non-negative number");
+    return v;
+}
 
 /** Parsed bench command line. */
 struct BenchArgs
@@ -71,19 +125,16 @@ struct BenchArgs
     bool claim = false;   //!< reclaim dead shards' jobs
     double leaseTtl = 60.0; //!< lease staleness threshold
 
-    std::string daemonSocket; //!< --daemon: route sweeps to an asapd
-
     static BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs a;
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--ops") && i + 1 < argc) {
-                a.ops = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 0));
+                a.ops = parseFlagUnsigned("--ops", argv[++i]);
             } else if (!std::strcmp(argv[i], "--seed") &&
                        i + 1 < argc) {
-                a.seed = std::strtoull(argv[++i], nullptr, 0);
+                a.seed = parseFlagU64("--seed", argv[++i]);
             } else if (!std::strcmp(argv[i], "--workload") &&
                        i + 1 < argc) {
                 a.workload = argv[++i];
@@ -108,8 +159,7 @@ struct BenchArgs
                 std::exit(0);
             } else if (!std::strcmp(argv[i], "--jobs") &&
                        i + 1 < argc) {
-                a.jobs = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 0));
+                a.jobs = parseFlagUnsigned("--jobs", argv[++i]);
             } else if (!std::strcmp(argv[i], "--json") &&
                        i + 1 < argc) {
                 a.jsonPath = argv[++i];
@@ -130,17 +180,13 @@ struct BenchArgs
                 a.shard.salt = argv[++i];
             } else if (!std::strcmp(argv[i], "--lease-ttl") &&
                        i + 1 < argc) {
-                a.leaseTtl = std::strtod(argv[++i], nullptr);
-            } else if (!std::strcmp(argv[i], "--daemon") &&
-                       i + 1 < argc) {
-                a.daemonSocket = argv[++i];
+                a.leaseTtl = parseFlagDouble("--lease-ttl", argv[++i]);
             } else {
                 std::fprintf(stderr,
                              "usage: %s [--ops N] [--seed S] "
                              "[--workload W] [--media P] [--jobs N] "
                              "[--json PATH] [--progress] [--profile] "
                              "[--list-media] [--list-workloads] "
-                             "[--daemon SOCKET] "
                              "[--shard i/n [--claim] [--salt S] "
                              "[--lease-ttl SEC]]\n", argv[0]);
                 std::exit(2);
@@ -207,29 +253,6 @@ struct BenchArgs
     }
 };
 
-/**
- * Run a bench's job list where the user pointed it: on the asapd at
- * --daemon's socket, or in-process through the engine. Both paths
- * share jobKey()-addressed caching and deterministic assembly, so the
- * bench's tables and CSV artifacts are byte-identical either way.
- */
-inline SweepResult
-runBenchJobs(const BenchArgs &args, std::vector<ExperimentJob> jobs)
-{
-    if (!args.daemonSocket.empty()) {
-        return daemonRunJobs(args.daemonSocket, std::move(jobs),
-                             args.options());
-    }
-    return runJobs(std::move(jobs), args.options());
-}
-
-/** runBenchJobs() for declarative sweeps. */
-inline SweepResult
-runBenchSweep(const BenchArgs &args, const SweepSpec &spec)
-{
-    return runBenchJobs(args, spec.expand());
-}
-
 /** Geometric mean of a series (ignores non-positive entries). */
 inline double
 gmean(const std::vector<double> &xs)
@@ -256,12 +279,6 @@ amean(const std::vector<double> &xs)
 }
 
 /**
- * Shared bench epilogue: write the artifact if --json was given and
- * report the engine's dedup/cache accounting. The counters are
- * deterministic (unlike wall-clock, which only goes to stderr), so
- * stdout stays byte-identical across --jobs settings.
- */
-/**
  * Print the process-wide host-time phase breakdown on stderr.
  * Wall-clock is non-deterministic, so none of this may reach stdout.
  */
@@ -271,13 +288,18 @@ printHostProfile()
     const HostProfile hp = hostProfile();
     auto sec = [](std::uint64_t ns) { return 1e-9 * double(ns); };
     std::fprintf(stderr,
-                 "[profile] trace-gen %.3fs  trace-load %.3fs  "
-                 "simulate %.3fs  check %.3fs  (%llu sim runs)\n",
-                 sec(hp.traceGenNs), sec(hp.traceLoadNs),
-                 sec(hp.simulateNs), sec(hp.checkNs),
+                 "[profile] trace-gen %.3fs  simulate %.3fs  "
+                 "check %.3fs  (%llu sim runs)\n",
+                 sec(hp.traceGenNs), sec(hp.simulateNs), sec(hp.checkNs),
                  static_cast<unsigned long long>(hp.simRuns));
 }
 
+/**
+ * Shared bench epilogue: write the artifact if --json was given and
+ * report the engine's dedup/cache accounting. The counters are
+ * deterministic (unlike wall-clock, which only goes to stderr), so
+ * stdout stays byte-identical across --jobs settings.
+ */
 inline void
 finishSweep(const BenchArgs &args, const SweepResult &sr)
 {
@@ -289,12 +311,7 @@ finishSweep(const BenchArgs &args, const SweepResult &sr)
     std::printf("[sweep: %zu jobs, %zu simulated, %llu cache hits]\n",
                 sr.jobs.size(), sr.uniqueRuns,
                 static_cast<unsigned long long>(sr.cacheHits));
-    // Disk-trace replays vary with ASAP_TRACE_DIR warmth, so they are
-    // stderr-only (the JSON header carries them deterministically per
-    // invocation).
-    std::fprintf(stderr, "sweep wall-clock: %.2fs (%llu disk-trace "
-                 "replays)\n", sr.wallSeconds,
-                 static_cast<unsigned long long>(sr.traceDiskHits));
+    std::fprintf(stderr, "sweep wall-clock: %.2fs\n", sr.wallSeconds);
     if (args.profile)
         printHostProfile();
 }
@@ -326,6 +343,31 @@ maybeRunShard(const BenchArgs &args,
     if (args.profile)
         printHostProfile();
     return true;
+}
+
+/**
+ * maybeRunShard() for crash campaigns. Every shard needs every probe
+ * result to derive the identical crash job list, so the probe phase
+ * blocks until all probes are in the shared cache (simulated at most
+ * once cluster-wide via the lease protocol); only the crash sweep
+ * itself is then sharded. A memoized probe summary (any earlier
+ * campaign over these configs, Crash or Permute) skips the phase.
+ */
+inline bool
+maybeRunCampaignShard(const BenchArgs &args, const CampaignSpec &spec)
+{
+    if (!args.sharded)
+        return false;
+    std::vector<ProbeStat> stats;
+    if (lookupProbeStats(spec, processCache(), stats)) {
+        std::fprintf(stderr,
+                     "probe phase: served from memoized summary\n");
+    } else {
+        stats = memoizeProbeStats(
+            spec, processCache(),
+            ensureJobs(campaignProbeJobs(spec), args.distOptions()));
+    }
+    return maybeRunShard(args, expandCampaign(spec, stats).crashJobs);
 }
 
 } // namespace asap

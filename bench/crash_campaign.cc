@@ -49,7 +49,6 @@ struct CampaignArgs
     ShardSpec shard;
     bool claim = false;
     double leaseTtl = 60.0;
-    std::string daemonSocket; //!< --daemon: route sweeps to an asapd
 };
 
 [[noreturn]] void
@@ -63,7 +62,7 @@ usage(const char *argv0)
         "[--list-strategies]\n"
         "          [--tick-seed S] [--cores N] [--models "
         "m1_pm1,m2_pm2,...]\n"
-        "          [--progress] [--daemon SOCKET]\n"
+        "          [--progress]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
@@ -85,9 +84,9 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--ops"))
-            a.ops = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.ops = parseFlagUnsigned("--ops", need(i)), ++i;
         else if (!std::strcmp(arg, "--seed"))
-            a.seed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.seed = parseFlagU64("--seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--workload"))
             a.workload = need(i), ++i;
         else if (!std::strcmp(arg, "--media")) {
@@ -106,11 +105,11 @@ parseArgs(int argc, char **argv)
             std::exit(0);
         }
         else if (!std::strcmp(arg, "--jobs"))
-            a.jobs = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.jobs = parseFlagUnsigned("--jobs", need(i)), ++i;
         else if (!std::strcmp(arg, "--json"))
             a.jsonPath = need(i), ++i;
         else if (!std::strcmp(arg, "--ticks"))
-            a.ticks = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.ticks = parseFlagUnsigned("--ticks", need(i)), ++i;
         else if (!std::strcmp(arg, "--strategy"))
             a.strategy = need(i), ++i;
         else if (!std::strcmp(arg, "--list-strategies")) {
@@ -119,9 +118,9 @@ parseArgs(int argc, char **argv)
             std::exit(0);
         }
         else if (!std::strcmp(arg, "--tick-seed"))
-            a.tickSeed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.tickSeed = parseFlagU64("--tick-seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.cores = parseFlagUnsigned("--cores", need(i)), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--repro"))
@@ -131,7 +130,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--pm"))
             a.pm = need(i), ++i;
         else if (!std::strcmp(arg, "--crash-tick"))
-            a.crashTick = std::strtoull(need(i), nullptr, 0), ++i;
+            a.crashTick = parseFlagU64("--crash-tick", need(i)), ++i;
         else if (!std::strcmp(arg, "--progress"))
             a.progress = true;
         else if (!std::strcmp(arg, "--shard")) {
@@ -144,9 +143,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--salt"))
             a.shard.salt = need(i), ++i;
         else if (!std::strcmp(arg, "--lease-ttl"))
-            a.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else if (!std::strcmp(arg, "--daemon"))
-            a.daemonSocket = need(i), ++i;
+            a.leaseTtl = parseFlagDouble("--lease-ttl", need(i)), ++i;
         else
             usage(argv[0]);
     }
@@ -253,39 +250,10 @@ runCampaignMode(const CampaignArgs &a, const BenchArgs &emitArgs)
     spec.ticksPerConfig = a.ticks;
     spec.tickSeed = a.tickSeed;
 
-    if (emitArgs.sharded) {
-        // Distributed campaign: every shard needs every probe result
-        // to derive the identical crash job list, so the probe phase
-        // blocks until all probes are in the shared cache (simulated
-        // at most once cluster-wide via the lease protocol). Only the
-        // crash sweep itself is then sharded. A memoized probe
-        // summary (any earlier campaign over these configs) skips
-        // the phase outright.
-        bool fromMemo = false;
-        const std::vector<ProbeStat> stats = ensureProbeStats(
-            spec, emitArgs.options(),
-            [&](std::vector<ExperimentJob> jobs, const RunOptions &) {
-                return ensureJobs(jobs, emitArgs.distOptions());
-            },
-            &fromMemo);
-        if (fromMemo)
-            std::fprintf(stderr,
-                         "probe phase: served from memoized summary\n");
-        const CampaignExpansion ex = expandCampaign(spec, stats);
-        if (maybeRunShard(emitArgs, ex.crashJobs))
-            return 0;
-    }
+    if (maybeRunCampaignShard(emitArgs, spec))
+        return 0;
 
-    SweepRunner runner;
-    if (!emitArgs.daemonSocket.empty()) {
-        runner = [&](std::vector<ExperimentJob> jobs,
-                     const RunOptions &opt) {
-            return daemonRunJobs(emitArgs.daemonSocket,
-                                 std::move(jobs), opt);
-        };
-    }
-    const CampaignResult cr =
-        runCampaign(spec, emitArgs.options(), runner);
+    const CampaignResult cr = runCampaign(spec, emitArgs.options());
     if (cr.probePhaseCached) {
         // stderr only: the verdict table must stay byte-identical
         // between cold and warm campaigns.
@@ -349,6 +317,5 @@ main(int argc, char **argv)
     emitArgs.shard = a.shard;
     emitArgs.claim = a.claim;
     emitArgs.leaseTtl = a.leaseTtl;
-    emitArgs.daemonSocket = a.daemonSocket;
     return runCampaignMode(a, emitArgs);
 }

@@ -65,7 +65,6 @@ struct PermuteArgs
     ShardSpec shard;
     bool claim = false;
     double leaseTtl = 60.0;
-    std::string daemonSocket; //!< --daemon: route sweeps to an asapd
 };
 
 [[noreturn]] void
@@ -81,7 +80,7 @@ usage(const char *argv0)
         "m1_pm1,m2_pm2,...]\n"
         "          [--bound N] [--sample-seed S] [--inject-fault F]\n"
         "          [--engine E] [--permute-jobs N]\n"
-        "          [--progress] [--daemon SOCKET]\n"
+        "          [--progress]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
@@ -106,9 +105,9 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--ops"))
-            a.ops = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.ops = parseFlagUnsigned("--ops", need(i)), ++i;
         else if (!std::strcmp(arg, "--seed"))
-            a.seed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.seed = parseFlagU64("--seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--workload"))
             a.workload = need(i), ++i;
         else if (!std::strcmp(arg, "--media")) {
@@ -127,11 +126,11 @@ parseArgs(int argc, char **argv)
             std::exit(0);
         }
         else if (!std::strcmp(arg, "--jobs"))
-            a.jobs = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.jobs = parseFlagUnsigned("--jobs", need(i)), ++i;
         else if (!std::strcmp(arg, "--json"))
             a.jsonPath = need(i), ++i;
         else if (!std::strcmp(arg, "--ticks"))
-            a.ticks = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.ticks = parseFlagUnsigned("--ticks", need(i)), ++i;
         else if (!std::strcmp(arg, "--strategy"))
             a.strategy = need(i), ++i;
         else if (!std::strcmp(arg, "--list-strategies")) {
@@ -140,13 +139,13 @@ parseArgs(int argc, char **argv)
             std::exit(0);
         }
         else if (!std::strcmp(arg, "--tick-seed"))
-            a.tickSeed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.tickSeed = parseFlagU64("--tick-seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.cores = parseFlagUnsigned("--cores", need(i)), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--bound")) {
-            a.bound = std::strtoull(need(i), nullptr, 0), ++i;
+            a.bound = parseFlagU64("--bound", need(i)), ++i;
             if (a.bound == 0) {
                 std::fprintf(stderr,
                              "error: --bound must be >= 1\n");
@@ -154,7 +153,7 @@ parseArgs(int argc, char **argv)
             }
         }
         else if (!std::strcmp(arg, "--sample-seed"))
-            a.sampleSeed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.sampleSeed = parseFlagU64("--sample-seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--inject-fault")) {
             a.fault = need(i), ++i;
             permute::FaultMode fm;
@@ -179,7 +178,7 @@ parseArgs(int argc, char **argv)
         }
         else if (!std::strcmp(arg, "--permute-jobs"))
             a.permuteThreads =
-                unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+                parseFlagUnsigned("--permute-jobs", need(i)), ++i;
         else if (!std::strcmp(arg, "--state")) {
             a.state = need(i), ++i;
             std::uint64_t mask;
@@ -197,7 +196,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--pm"))
             a.pm = need(i), ++i;
         else if (!std::strcmp(arg, "--crash-tick"))
-            a.crashTick = std::strtoull(need(i), nullptr, 0), ++i;
+            a.crashTick = parseFlagU64("--crash-tick", need(i)), ++i;
         else if (!std::strcmp(arg, "--progress"))
             a.progress = true;
         else if (!std::strcmp(arg, "--shard")) {
@@ -210,9 +209,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--salt"))
             a.shard.salt = need(i), ++i;
         else if (!std::strcmp(arg, "--lease-ttl"))
-            a.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else if (!std::strcmp(arg, "--daemon"))
-            a.daemonSocket = need(i), ++i;
+            a.leaseTtl = parseFlagDouble("--lease-ttl", need(i)), ++i;
         else
             usage(argv[0]);
     }
@@ -346,38 +343,10 @@ runPermuteCampaign(const PermuteArgs &a, const BenchArgs &emitArgs)
     spec.permuteEngine = a.engine;
     spec.permuteThreads = a.permuteThreads;
 
-    if (emitArgs.sharded) {
-        // Same protocol as the crash campaign: probes block until the
-        // whole configuration set is summarized (shared-cache leases
-        // keep that cluster-wide work deduplicated), then only the
-        // permute sweep itself is sharded. The probe memo is shared
-        // with crash campaigns over the same configs — probe jobs are
-        // plain Run jobs either way.
-        bool fromMemo = false;
-        const std::vector<ProbeStat> stats = ensureProbeStats(
-            spec, emitArgs.options(),
-            [&](std::vector<ExperimentJob> jobs, const RunOptions &) {
-                return ensureJobs(jobs, emitArgs.distOptions());
-            },
-            &fromMemo);
-        if (fromMemo)
-            std::fprintf(stderr,
-                         "probe phase: served from memoized summary\n");
-        const CampaignExpansion ex = expandCampaign(spec, stats);
-        if (maybeRunShard(emitArgs, ex.crashJobs))
-            return 0;
-    }
+    if (maybeRunCampaignShard(emitArgs, spec))
+        return 0;
 
-    SweepRunner runner;
-    if (!emitArgs.daemonSocket.empty()) {
-        runner = [&](std::vector<ExperimentJob> jobs,
-                     const RunOptions &opt) {
-            return daemonRunJobs(emitArgs.daemonSocket,
-                                 std::move(jobs), opt);
-        };
-    }
-    const CampaignResult cr =
-        runCampaign(spec, emitArgs.options(), runner);
+    const CampaignResult cr = runCampaign(spec, emitArgs.options());
     if (cr.probePhaseCached) {
         // stderr only: apart from the host-side states/s column, the
         // verdict table stays byte-identical between cold and warm
@@ -487,6 +456,5 @@ main(int argc, char **argv)
     emitArgs.shard = a.shard;
     emitArgs.claim = a.claim;
     emitArgs.leaseTtl = a.leaseTtl;
-    emitArgs.daemonSocket = a.daemonSocket;
     return runPermuteCampaign(a, emitArgs);
 }

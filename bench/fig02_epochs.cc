@@ -28,7 +28,7 @@ main(int argc, char **argv)
     spec.base = args.baseConfig();
     if (maybeRunShard(args, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(args, spec);
+    const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 2: epochs and cross-thread dependencies "
                 "per 1 ms (4 threads, RP) ===\n");

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     spec.base = args.baseConfig();
     if (maybeRunShard(args, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(args, spec);
+    const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 3: %% persist-buffer blocked cycles "
                 "(HOPS, 4 threads, RP) ===\n");

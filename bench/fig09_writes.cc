@@ -28,7 +28,7 @@ main(int argc, char **argv)
     spec.base = args.baseConfig();
     if (maybeRunShard(args, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(args, spec);
+    const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 9: PM writes, ASAP normalised to HOPS "
                 "(RP, 4 cores) ===\n");

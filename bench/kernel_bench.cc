@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "harness/system.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -113,11 +114,9 @@ main(int argc, char **argv)
     std::string jsonPath = "BENCH_kernel.json";
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--ops") && i + 1 < argc) {
-            ops = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ops = parseFlagUnsigned("--ops", argv[++i]);
         } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-            reps = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            reps = parseFlagUnsigned("--reps", argv[++i]);
         } else if (!std::strcmp(argv[i], "--workload") && i + 1 < argc) {
             only = argv[++i];
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {

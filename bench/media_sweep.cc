@@ -90,10 +90,9 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--ops"))
-            a.bench.ops = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            a.bench.ops = parseFlagUnsigned("--ops", need(i)), ++i;
         else if (!std::strcmp(arg, "--seed"))
-            a.bench.seed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.bench.seed = parseFlagU64("--seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--workload"))
             a.bench.workload = need(i), ++i;
         else if (!std::strcmp(arg, "--profiles"))
@@ -101,10 +100,9 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.cores = parseFlagUnsigned("--cores", need(i)), ++i;
         else if (!std::strcmp(arg, "--jobs"))
-            a.bench.jobs = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            a.bench.jobs = parseFlagUnsigned("--jobs", need(i)), ++i;
         else if (!std::strcmp(arg, "--json"))
             a.bench.jsonPath = need(i), ++i;
         else if (!std::strcmp(arg, "--progress"))
@@ -131,7 +129,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--salt"))
             a.bench.shard.salt = need(i), ++i;
         else if (!std::strcmp(arg, "--lease-ttl"))
-            a.bench.leaseTtl = std::strtod(need(i), nullptr), ++i;
+            a.bench.leaseTtl = parseFlagDouble("--lease-ttl", need(i)), ++i;
         else
             usage(argv[0]);
     }
@@ -165,7 +163,7 @@ main(int argc, char **argv)
     spec.params = a.bench.params();
     if (maybeRunShard(a.bench, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(a.bench, spec);
+    const SweepResult sr = runSweep(spec, a.bench.options());
 
     // Expansion order: workload-major, media next, models, cores
     // innermost (one core count here).

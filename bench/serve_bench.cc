@@ -11,8 +11,8 @@
  * stderr so the constant-memory claim is checkable from scripts.
  *
  * The scenario axis rides the cache key like any workload name, so
- * re-runs, --shard slices (bench/sweep_merge) and --daemon execution
- * dedup and reassemble exactly like the figure benches.
+ * re-runs and --shard slices (bench/sweep_merge) dedup and reassemble
+ * exactly like the figure benches.
  */
 
 #include <sys/resource.h>
@@ -27,7 +27,7 @@ namespace
 
 struct ServeBenchArgs
 {
-    BenchArgs bench;        //!< shared engine/shard/daemon flags
+    BenchArgs bench;        //!< shared engine/shard flags
     std::string scenarios;  //!< comma list; empty = all
     std::string models = "baseline_rp,hops_rp,asap_rp,eadr_rp";
     std::string mediaPerMc; //!< per-MC profile list; empty = uniform
@@ -47,7 +47,7 @@ usage(const char *argv0)
         "          [--keyspace N] [--update-pct P] [--media P]\n"
         "          [--media-per-mc p1,p2,...]\n"
         "          [--jobs N] [--json PATH]\n"
-        "          [--progress] [--profile] [--daemon SOCKET]\n"
+        "          [--progress] [--profile]\n"
         "          [--list-scenarios] [--list-media]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n",
@@ -102,24 +102,21 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--ops"))
-            a.bench.ops = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            a.bench.ops = parseFlagUnsigned("--ops", need(i)), ++i;
         else if (!std::strcmp(arg, "--seed"))
-            a.bench.seed = std::strtoull(need(i), nullptr, 0), ++i;
+            a.bench.seed = parseFlagU64("--seed", need(i)), ++i;
         else if (!std::strcmp(arg, "--scenario"))
             a.scenarios = need(i), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.cores = parseFlagUnsigned("--cores", need(i)), ++i;
         else if (!std::strcmp(arg, "--mcs"))
-            a.mcs = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            a.mcs = parseFlagUnsigned("--mcs", need(i)), ++i;
         else if (!std::strcmp(arg, "--keyspace"))
-            a.keySpace = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            a.keySpace = parseFlagUnsigned("--keyspace", need(i)), ++i;
         else if (!std::strcmp(arg, "--update-pct"))
-            a.updatePct = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            a.updatePct = parseFlagUnsigned("--update-pct", need(i)), ++i;
         else if (!std::strcmp(arg, "--media")) {
             a.bench.media = need(i), ++i;
             if (!isMediaProfile(a.bench.media)) {
@@ -131,16 +128,13 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--media-per-mc"))
             a.mediaPerMc = need(i), ++i;
         else if (!std::strcmp(arg, "--jobs"))
-            a.bench.jobs = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            a.bench.jobs = parseFlagUnsigned("--jobs", need(i)), ++i;
         else if (!std::strcmp(arg, "--json"))
             a.bench.jsonPath = need(i), ++i;
         else if (!std::strcmp(arg, "--progress"))
             a.bench.progress = true;
         else if (!std::strcmp(arg, "--profile"))
             a.bench.profile = true;
-        else if (!std::strcmp(arg, "--daemon"))
-            a.bench.daemonSocket = need(i), ++i;
         else if (!std::strcmp(arg, "--list-scenarios")) {
             for (const ServeScenario &sc : allServeScenarios())
                 std::printf("%-18s %s\n", sc.workloadName().c_str(),
@@ -161,7 +155,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--salt"))
             a.bench.shard.salt = need(i), ++i;
         else if (!std::strcmp(arg, "--lease-ttl"))
-            a.bench.leaseTtl = std::strtod(need(i), nullptr), ++i;
+            a.bench.leaseTtl = parseFlagDouble("--lease-ttl", need(i)), ++i;
         else
             usage(argv[0]);
     }
@@ -228,7 +222,7 @@ main(int argc, char **argv)
     }
     if (maybeRunShard(a.bench, jobs))
         return 0;
-    const SweepResult sr = runBenchJobs(a.bench, std::move(jobs));
+    const SweepResult sr = runJobs(std::move(jobs), a.bench.options());
 
     auto ns = [](std::uint64_t ticks) {
         return double(ticks) / clockGHz;

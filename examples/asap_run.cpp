@@ -8,16 +8,15 @@
  *
  * Accepted keys: every SimConfig knob (model=, persistency=,
  * numCores=, rtEntries=, ...) plus ops=<N> and updatePct=<P> for the
- * workload, and saveTrace=<path> / loadTrace=<path> to record once
- * and replay across models. Prints the full gem5-style stats dump
- * (Table VI names included).
+ * workload. A trace is a pure function of these arguments, so a
+ * second model sees the same ops by rerunning with only model=
+ * changed. Prints the full gem5-style stats dump (Table VI names
+ * included).
  *
  * Examples:
  *   asap_run cceh model=asap persistency=rp numCores=8
  *   asap_run nstore model=hops ops=500
  *   asap_run serve:kv-zipf model=asap numCores=4 ops=5000
- *   asap_run cceh saveTrace=/tmp/cceh.trace
- *   asap_run cceh loadTrace=/tmp/cceh.trace model=baseline
  */
 
 #include <cstdio>
@@ -27,8 +26,6 @@
 #include <string>
 
 #include "harness/system.hh"
-#include "pm/recorder.hh"
-#include "pm/trace_io.hh"
 #include "serve/op_stream.hh"
 #include "serve/scenario.hh"
 #include "workloads/registry.hh"
@@ -52,7 +49,6 @@ main(int argc, char **argv)
     SimConfig cfg;
     WorkloadParams params;
     params.opsPerThread = 200;
-    std::string save_path, load_path;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("ops=", 0) == 0) {
@@ -61,10 +57,6 @@ main(int argc, char **argv)
         } else if (arg.rfind("updatePct=", 0) == 0) {
             params.updatePct = static_cast<unsigned>(
                 std::strtoul(arg.c_str() + 10, nullptr, 0));
-        } else if (arg.rfind("saveTrace=", 0) == 0) {
-            save_path = arg.substr(10);
-        } else if (arg.rfind("loadTrace=", 0) == 0) {
-            load_path = arg.substr(10);
         } else {
             cfg.override(arg);
         }
@@ -79,27 +71,14 @@ main(int argc, char **argv)
 
     System sys(cfg);
     std::unique_ptr<ServeStream> stream;
-    if (load_path.empty() && isServeWorkload(argv[1])) {
-        // Serving scenarios generate ops on demand; only materialize
-        // (under the recorder's op cap) when a trace file was asked
-        // for, otherwise run the constant-memory streaming path.
+    if (isServeWorkload(argv[1])) {
+        // Serving scenarios generate ops on demand: the
+        // constant-memory streaming path, no materialized trace.
         const ServeScenario &sc = findServeScenario(argv[1]);
         stream = std::make_unique<ServeStream>(sc, cfg.numCores, params);
-        if (!save_path.empty()) {
-            TraceSet traces =
-                materializeStream(*stream, TraceRecorder::traceOpCap());
-            saveTrace(traces, save_path);
-            sys.loadTrace(std::move(traces));
-        } else {
-            sys.loadStream(*stream);
-        }
+        sys.loadStream(*stream);
     } else {
-        TraceSet traces = load_path.empty()
-                              ? buildTrace(argv[1], cfg.numCores, params)
-                              : loadTrace(load_path);
-        if (!save_path.empty())
-            saveTrace(traces, save_path);
-        sys.loadTrace(std::move(traces));
+        sys.loadTrace(buildTrace(argv[1], cfg.numCores, params));
     }
     const bool ok = sys.run();
     std::printf("%s\n", sys.stats().dump().c_str());

@@ -14,7 +14,7 @@ REPS="${ASAP_KERNEL_BENCH_REPS:-3}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-unset ASAP_CACHE_DIR ASAP_TRACE_DIR
+unset ASAP_CACHE_DIR
 
 "$BUILD/bench/kernel_bench" --ops "$OPS" --reps "$REPS" \
     --json "$TMP/kernel.json" > "$TMP/kernel.txt"

@@ -28,7 +28,7 @@ REPS="${ASAP_PERMUTE_BENCH_REPS:-3}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-unset ASAP_CACHE_DIR ASAP_TRACE_DIR
+unset ASAP_CACHE_DIR
 
 POINT=(--repro --workload cceh --model asap --pm rp --cores 8
        --ops 400 --seed 1 --crash-tick 268000 --bound 131072

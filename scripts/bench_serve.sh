@@ -23,7 +23,7 @@ MODELS="${ASAP_SERVE_BENCH_MODELS:-baseline_rp,hops_rp,asap_rp,eadr_rp}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-unset ASAP_CACHE_DIR ASAP_TRACE_DIR
+unset ASAP_CACHE_DIR
 
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
 

@@ -3,14 +3,20 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "sim/log.hh"
 
@@ -162,52 +168,201 @@ jobKey(const ExperimentJob &job)
 namespace
 {
 
+using G = FieldGroup;
+
+constexpr ResultField kResultFields[] = {
+    {"workload", G::CacheOnly, &RunResult::workload},
+    {"model", G::CacheOnly, &RunResult::model},
+    {"persistency", G::CacheOnly, &RunResult::persistency},
+    {"cores", G::CacheOnly, &RunResult::cores},
+    {"runTicks", G::Core, &RunResult::runTicks},
+    {"pmWrites", G::Core, &RunResult::pmWrites},
+    {"pmReads", G::Core, &RunResult::pmReads},
+    {"cyclesBlocked", G::Core, &RunResult::cyclesBlocked},
+    {"cyclesStalled", G::Core, &RunResult::cyclesStalled},
+    {"dfenceStalled", G::Core, &RunResult::dfenceStalled},
+    {"sfenceStalled", G::Core, &RunResult::sfenceStalled},
+    {"entriesInserted", G::Core, &RunResult::entriesInserted},
+    {"epochs", G::Core, &RunResult::epochs},
+    {"crossDeps", G::Core, &RunResult::crossDeps},
+    {"totSpecWrites", G::Core, &RunResult::totSpecWrites},
+    {"totalUndo", G::Core, &RunResult::totalUndo},
+    {"totalDelay", G::Core, &RunResult::totalDelay},
+    {"nacks", G::Core, &RunResult::nacks},
+    {"rtMaxOccupancy", G::Core, &RunResult::rtMaxOccupancy},
+    {"pbOccMean", G::Core, &RunResult::pbOccMean},
+    {"pbOccP99", G::Core, &RunResult::pbOccP99},
+    {"wpqCoalesced", G::Core, &RunResult::wpqCoalesced},
+    {"suppressedWrites", G::Core, &RunResult::suppressedWrites},
+    {"media", G::CacheOnly, &RunResult::media},
+    {"xpHits", G::Media, &RunResult::xpHits},
+    {"xpMisses", G::Media, &RunResult::xpMisses},
+    {"mediaBytesWritten", G::Media, &RunResult::mediaBytesWritten},
+    {"mediaQueueDelayTicks", G::Media, &RunResult::mediaQueueDelayTicks},
+    {"mediaBankBusyTicks", G::Media, &RunResult::mediaBankBusyTicks},
+    {"eventsExecuted", G::CacheOnly, &RunResult::eventsExecuted},
+    {"persistSamples", G::Serve, &RunResult::persistSamples},
+    {"persistP50", G::Serve, &RunResult::persistP50},
+    {"persistP99", G::Serve, &RunResult::persistP99},
+    {"persistP999", G::Serve, &RunResult::persistP999},
+    {"persistMax", G::Serve, &RunResult::persistMax},
+    {"serveRequests", G::Serve, &RunResult::serveRequests},
+};
+
+/** Parse all of @p text as a number (no leading blank or "+", no
+ *  trailing junk). */
+template <class T>
+bool
+readNumber(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+/** Parse @p text into field @p f of @p r; false if malformed. */
+bool
+readField(const std::string &text, const ResultField &f, RunResult &r)
+{
+    return std::visit(
+        [&](auto member) {
+            auto &v = r.*member;
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::string>) {
+                v = text == "-" ? "" : text;
+                return !text.empty();
+            } else if constexpr (std::is_same_v<T, ModelKind>) {
+                return tryParseModelKind(text, v);
+            } else if constexpr (std::is_same_v<T, PersistencyModel>) {
+                return tryParsePersistencyModel(text, v);
+            } else {
+                return readNumber(text, v);
+            }
+        },
+        f.member);
+}
+
+const ResultField *
+findResultField(const std::string &name)
+{
+    for (const ResultField &f : kResultFields) {
+        if (name == f.name)
+            return &f;
+    }
+    return nullptr;
+}
+
 void
 appendResultFields(std::ostringstream &os, const RunResult &r)
 {
-    os << "workload " << r.workload << '\n'
-       << "model " << toString(r.model) << '\n'
-       << "persistency " << toString(r.persistency) << '\n'
-       << "cores " << r.cores << '\n'
-       << "runTicks " << r.runTicks << '\n'
-       << "pmWrites " << r.pmWrites << '\n'
-       << "pmReads " << r.pmReads << '\n'
-       << "cyclesBlocked " << r.cyclesBlocked << '\n'
-       << "cyclesStalled " << r.cyclesStalled << '\n'
-       << "dfenceStalled " << r.dfenceStalled << '\n'
-       << "sfenceStalled " << r.sfenceStalled << '\n'
-       << "entriesInserted " << r.entriesInserted << '\n'
-       << "epochs " << r.epochs << '\n'
-       << "crossDeps " << r.crossDeps << '\n'
-       << "totSpecWrites " << r.totSpecWrites << '\n'
-       << "totalUndo " << r.totalUndo << '\n'
-       << "totalDelay " << r.totalDelay << '\n'
-       << "nacks " << r.nacks << '\n'
-       << "rtMaxOccupancy " << r.rtMaxOccupancy << '\n'
-       << "pbOccMean " << r.pbOccMean << '\n'
-       << "pbOccP99 " << r.pbOccP99 << '\n'
-       << "wpqCoalesced " << r.wpqCoalesced << '\n'
-       << "suppressedWrites " << r.suppressedWrites << '\n'
-       // Whitespace-delimited format: an empty profile would leave
-       // the value slot blank and desync the reader, so stand in "-".
-       << "media " << (r.media.empty() ? "-" : r.media) << '\n'
-       << "xpHits " << r.xpHits << '\n'
-       << "xpMisses " << r.xpMisses << '\n'
-       << "mediaBytesWritten " << r.mediaBytesWritten << '\n'
-       << "mediaQueueDelayTicks " << r.mediaQueueDelayTicks << '\n'
-       << "mediaBankBusyTicks " << r.mediaBankBusyTicks << '\n'
-       // hostNs is deliberately absent: host wall time is
-       // non-deterministic and must never round-trip through a cache.
-       << "eventsExecuted " << r.eventsExecuted << '\n'
-       << "persistSamples " << r.persistSamples << '\n'
-       << "persistP50 " << r.persistP50 << '\n'
-       << "persistP99 " << r.persistP99 << '\n'
-       << "persistP999 " << r.persistP999 << '\n'
-       << "persistMax " << r.persistMax << '\n'
-       << "serveRequests " << r.serveRequests << '\n';
+    for (const ResultField &f : kResultFields) {
+        os << f.name << ' ';
+        writeField(os, f, r);
+        os << '\n';
+    }
+}
+
+bool
+readFlag(const std::string &text, bool &out)
+{
+    if (text != "0" && text != "1")
+        return false;
+    out = text == "1";
+    return true;
+}
+
+/**
+ * Parse verdict line @p name into @p v.
+ * @return nullopt if @p name is no verdict field, else whether
+ *         @p text was well-formed
+ */
+std::optional<bool>
+readVerdictField(const std::string &name, const std::string &text,
+                 CrashVerdict &v)
+{
+    if (name == "vConsistent") return readFlag(text, v.consistent);
+    if (name == "vCrashTick") return readNumber(text, v.crashTick);
+    if (name == "vActualTick") return readNumber(text, v.actualTick);
+    if (name == "vStoresLogged") return readNumber(text, v.storesLogged);
+    if (name == "vLinesSurvived")
+        return readNumber(text, v.linesSurvived);
+    if (name == "vUndoReplayed") return readNumber(text, v.undoReplayed);
+    if (name == "vAdrDrainWrites")
+        return readNumber(text, v.adrDrainWrites);
+    if (name == "vCommitted") {
+        std::istringstream is(text);
+        std::size_t n = 0;
+        if (!(is >> n) || n > 4096)
+            return false;
+        v.committedUpTo.resize(n);
+        for (std::uint64_t &c : v.committedUpTo)
+            is >> c;
+        return bool(is) && (is >> std::ws).eof();
+    }
+    if (name == "vStatesChecked")
+        return readNumber(text, v.statesChecked);
+    if (name == "vStatesReachable")
+        return readNumber(text, v.statesReachable);
+    if (name == "vDistinctStates")
+        return readNumber(text, v.distinctStates);
+    if (name == "vPermuteAtoms") return readNumber(text, v.permuteAtoms);
+    if (name == "vTruncated") return readFlag(text, v.truncated);
+    if (name == "vInconsistentStates")
+        return readNumber(text, v.inconsistentStates);
+    if (name == "vFirstBadState") {
+        v.firstBadState = text;
+        return !text.empty();
+    }
+    if (name == "vMessage") {
+        v.message = text;
+        return !text.empty();
+    }
+    return std::nullopt;
+}
+
+/** The field names of serialized entry @p text, sorted (codeSalt and
+ *  the end marker excluded). */
+std::vector<std::string>
+fieldNames(const std::string &text)
+{
+    std::vector<std::string> names;
+    std::istringstream is(text);
+    std::string line;
+    while (std::getline(is, line)) {
+        std::string name = line.substr(0, line.find(' '));
+        if (name != "codeSalt" && name != "end")
+            names.push_back(std::move(name));
+    }
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 } // namespace
+
+std::span<const ResultField>
+resultFields()
+{
+    return kResultFields;
+}
+
+void
+writeField(std::ostream &os, const ResultField &f, const RunResult &r)
+{
+    std::visit(
+        [&](auto member) {
+            const auto &v = r.*member;
+            using T = std::decay_t<decltype(v)>;
+            // Whitespace-delimited format: an empty string would leave
+            // the value slot blank, so stand in "-".
+            if constexpr (std::is_same_v<T, std::string>)
+                os << (v.empty() ? "-" : v);
+            else if constexpr (std::is_enum_v<T>)
+                os << toString(v);
+            else
+                os << v;
+        },
+        f.member);
+}
 
 std::string
 serializeResult(const RunResult &r)
@@ -248,7 +403,7 @@ serializeEntry(const CachedResult &e)
         os << ' ' << c;
     os << '\n';
     // Permuter coverage; all-zero for plain Crash entries, so they
-    // are only written for Permute jobs (readers default them to 0).
+    // are only written for Permute jobs.
     if (e.kind == JobKind::Permute) {
         os << "vStatesChecked " << v.statesChecked << '\n'
            << "vStatesReachable " << v.statesReachable << '\n'
@@ -276,127 +431,66 @@ deserializeEntry(const std::string &text, CachedResult &out,
             *why = reason;
         return false;
     };
+    // One "name value" field per line; the value runs to the end of
+    // the line (only vMessage and vCommitted contain spaces).
     std::istringstream is(text);
-    std::string field;
+    std::string line;
     CachedResult e;
-    RunResult &r = e.run;
-    CrashVerdict &v = e.verdict;
+    std::vector<std::string> seen;
     bool complete = false;
-    while (is >> field) {
-        if (field == "codeSalt") {
-            // Absent in pre-hardening entries: those were written
-            // under the same key hash, so absence implies a match.
-            std::string salt;
-            is >> salt;
-            if (salt != kCodeSalt) {
-                return reject("code-salt mismatch (entry '" + salt +
-                              "', running '" + kCodeSalt + "')");
-            }
-        }
-        else if (field == "kind") {
-            std::string k;
-            is >> k;
-            if (k == "run") e.kind = JobKind::Run;
-            else if (k == "crash") e.kind = JobKind::Crash;
-            else if (k == "permute") e.kind = JobKind::Permute;
-            else return reject("unknown job kind '" + k + "'");
-        }
-        else if (field == "workload") is >> r.workload;
-        else if (field == "model") {
-            std::string m;
-            is >> m;
-            r.model = parseModelKind(m);
-        } else if (field == "persistency") {
-            std::string m;
-            is >> m;
-            r.persistency = parsePersistencyModel(m);
-        }
-        else if (field == "cores") is >> r.cores;
-        else if (field == "runTicks") is >> r.runTicks;
-        else if (field == "pmWrites") is >> r.pmWrites;
-        else if (field == "pmReads") is >> r.pmReads;
-        else if (field == "cyclesBlocked") is >> r.cyclesBlocked;
-        else if (field == "cyclesStalled") is >> r.cyclesStalled;
-        else if (field == "dfenceStalled") is >> r.dfenceStalled;
-        else if (field == "sfenceStalled") is >> r.sfenceStalled;
-        else if (field == "entriesInserted") is >> r.entriesInserted;
-        else if (field == "epochs") is >> r.epochs;
-        else if (field == "crossDeps") is >> r.crossDeps;
-        else if (field == "totSpecWrites") is >> r.totSpecWrites;
-        else if (field == "totalUndo") is >> r.totalUndo;
-        else if (field == "totalDelay") is >> r.totalDelay;
-        else if (field == "nacks") is >> r.nacks;
-        else if (field == "rtMaxOccupancy") is >> r.rtMaxOccupancy;
-        else if (field == "pbOccMean") is >> r.pbOccMean;
-        else if (field == "pbOccP99") is >> r.pbOccP99;
-        else if (field == "wpqCoalesced") is >> r.wpqCoalesced;
-        else if (field == "suppressedWrites") is >> r.suppressedWrites;
-        else if (field == "media") {
-            is >> r.media;
-            if (r.media == "-") r.media.clear();
-        }
-        else if (field == "xpHits") is >> r.xpHits;
-        else if (field == "xpMisses") is >> r.xpMisses;
-        else if (field == "mediaBytesWritten") is >> r.mediaBytesWritten;
-        else if (field == "mediaQueueDelayTicks")
-            is >> r.mediaQueueDelayTicks;
-        else if (field == "mediaBankBusyTicks")
-            is >> r.mediaBankBusyTicks;
-        else if (field == "eventsExecuted") is >> r.eventsExecuted;
-        else if (field == "persistSamples") is >> r.persistSamples;
-        else if (field == "persistP50") is >> r.persistP50;
-        else if (field == "persistP99") is >> r.persistP99;
-        else if (field == "persistP999") is >> r.persistP999;
-        else if (field == "persistMax") is >> r.persistMax;
-        else if (field == "serveRequests") is >> r.serveRequests;
-        else if (field == "vConsistent") {
-            int b = 0;
-            is >> b;
-            v.consistent = b != 0;
-        }
-        else if (field == "vCrashTick") is >> v.crashTick;
-        else if (field == "vActualTick") is >> v.actualTick;
-        else if (field == "vStoresLogged") is >> v.storesLogged;
-        else if (field == "vLinesSurvived") is >> v.linesSurvived;
-        else if (field == "vUndoReplayed") is >> v.undoReplayed;
-        else if (field == "vAdrDrainWrites") is >> v.adrDrainWrites;
-        else if (field == "vCommitted") {
-            std::size_t n = 0;
-            is >> n;
-            if (!is || n > 4096)
-                return reject("malformed committed-frontier length");
-            v.committedUpTo.resize(n);
-            for (std::size_t i = 0; i < n; ++i)
-                is >> v.committedUpTo[i];
-        }
-        else if (field == "vStatesChecked") is >> v.statesChecked;
-        else if (field == "vStatesReachable") is >> v.statesReachable;
-        else if (field == "vDistinctStates") is >> v.distinctStates;
-        else if (field == "vPermuteAtoms") is >> v.permuteAtoms;
-        else if (field == "vTruncated") {
-            int b = 0;
-            is >> b;
-            v.truncated = b != 0;
-        }
-        else if (field == "vInconsistentStates")
-            is >> v.inconsistentStates;
-        else if (field == "vFirstBadState") is >> v.firstBadState;
-        else if (field == "vMessage") {
-            is >> std::ws;
-            std::getline(is, v.message);
-        }
-        else if (field == "end") {
+    while (std::getline(is, line)) {
+        const std::size_t space = line.find(' ');
+        const std::string name = line.substr(0, space);
+        const std::string value =
+            space == std::string::npos ? "" : line.substr(space + 1);
+        if (name == "end") {
             complete = true;
             break;
+        }
+        bool ok = true;
+        if (name == "codeSalt") {
+            // Absent in pre-hardening entries: those were written
+            // under the same key hash, so absence implies a match.
+            if (value != kCodeSalt) {
+                return reject("code-salt mismatch (entry '" + value +
+                              "', running '" + kCodeSalt + "')");
+            }
+            continue;
+        } else if (name == "kind") {
+            ok = tryParseJobKind(value, e.kind);
+        } else if (const ResultField *f = findResultField(name)) {
+            ok = readField(value, *f, e.run);
+        } else if (const std::optional<bool> read =
+                       readVerdictField(name, value, e.verdict)) {
+            ok = *read;
         } else {
             // Written by newer code than this reader.
-            return reject("unknown field '" + field + "'");
+            return reject("unknown field '" + name + "'");
         }
-        if (!is)
-            return reject("malformed value for field '" + field + "'");
+        if (!ok)
+            return reject("malformed value '" + value + "' for field '" +
+                          name + "'");
+        seen.push_back(name);
     }
     if (!complete)
         return reject("truncated entry (no end marker)");
+    // Exactly the lines this entry's kind writes: re-render what was
+    // read and compare field names, so a dropped line (or one that
+    // belongs to another kind) rejects the entry instead of reading
+    // as zero.
+    std::sort(seen.begin(), seen.end());
+    const std::vector<std::string> want = fieldNames(serializeEntry(e));
+    if (seen != want) {
+        std::vector<std::string> missing, extra;
+        std::set_difference(want.begin(), want.end(), seen.begin(),
+                            seen.end(), std::back_inserter(missing));
+        std::set_difference(seen.begin(), seen.end(), want.begin(),
+                            want.end(), std::back_inserter(extra));
+        return reject(!missing.empty()
+                          ? "missing field '" + missing.front() + "'"
+                          : "unexpected field '" + extra.front() +
+                                "' in a " + toString(e.kind) + " entry");
+    }
     out = std::move(e);
     return true;
 }
@@ -462,42 +556,104 @@ ResultCache::diskPath(const std::string &key) const
     return dir + "/" + key + ".result";
 }
 
+namespace
+{
+
+/** Whole-file read; false if @p path is absent or unreadable. */
 bool
-ResultCache::lookup(const std::string &key, CachedResult &out)
+readFile(const std::string &path, std::string &text)
+{
+    std::ifstream in(path);
+    if (!in)
+        return false;
+    std::ostringstream os;
+    os << in.rdbuf();
+    text = os.str();
+    return true;
+}
+
+/**
+ * Unique temp name per thread, fsync, then atomic rename: after a
+ * power cut the file is either absent or complete and durable —
+ * multi-host sweeps trust remote entries without re-checking. Best
+ * effort: on any failure the entry is simply not cached.
+ */
+void
+writeDurably(const std::string &path, const std::string &text)
+{
+    std::ostringstream tmp;
+    tmp << path << ".tmp." << std::this_thread::get_id();
+    std::FILE *out = std::fopen(tmp.str().c_str(), "w");
+    if (!out)
+        return;
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
+        std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
+    std::fclose(out);
+    std::error_code ec;
+    if (wrote)
+        std::filesystem::rename(tmp.str(), path, ec);
+    if (!wrote || ec)
+        std::filesystem::remove(tmp.str(), ec);
+}
+
+/** Header line every aux-tier file leads with. */
+std::string
+auxStamp()
+{
+    return std::string("codeSalt ") + kCodeSalt + "\n";
+}
+
+} // namespace
+
+template <class T, class Decode>
+bool
+ResultCache::lookupIn(std::unordered_map<std::string, T> &map,
+                      const std::string &key, const std::string &path,
+                      Decode decode, TierCounters count, T &out)
 {
     {
         std::lock_guard<std::mutex> lock(mu);
-        auto it = mem.find(key);
-        if (it != mem.end()) {
+        auto it = map.find(key);
+        if (it != map.end()) {
             out = it->second;
-            ++counters.memHits;
+            ++(counters.*count.memHit);
             return true;
         }
     }
-    if (!dir.empty()) {
-        std::ifstream in(diskPath(key));
-        if (in) {
-            std::ostringstream text;
-            text << in.rdbuf();
-            CachedResult e;
-            std::string why;
-            if (deserializeEntry(text.str(), e, &why)) {
-                std::lock_guard<std::mutex> lock(mu);
-                mem.emplace(key, e);
-                ++counters.diskHits;
-                out = e;
-                return true;
-            }
-            // A rejected entry counts as a miss, but say why — a
-            // silently re-simulating sweep looks identical to a cold
-            // one, and a salt mismatch means someone's cache dir is
-            // shared across incompatible builds.
-            warn("ignoring cache entry ", diskPath(key), ": ", why);
+    std::string text;
+    if (!dir.empty() && readFile(path, text)) {
+        T value;
+        std::string why;
+        if (decode(text, value, why)) {
+            std::lock_guard<std::mutex> lock(mu);
+            map.emplace(key, value);
+            ++(counters.*count.diskHit);
+            out = std::move(value);
+            return true;
         }
+        // A rejected entry counts as a miss, but say why — a
+        // silently re-simulating sweep looks identical to a cold
+        // one, and a salt mismatch means someone's cache dir is
+        // shared across incompatible builds.
+        warn("ignoring cache entry ", path, ": ", why);
     }
     std::lock_guard<std::mutex> lock(mu);
-    ++counters.misses;
+    ++(counters.*count.miss);
     return false;
+}
+
+bool
+ResultCache::lookup(const std::string &key, CachedResult &out)
+{
+    return lookupIn(
+        mem, key, diskPath(key),
+        [](const std::string &text, CachedResult &e, std::string &why) {
+            return deserializeEntry(text, e, &why);
+        },
+        {&CacheStats::memHits, &CacheStats::diskHits,
+         &CacheStats::misses},
+        out);
 }
 
 void
@@ -507,33 +663,8 @@ ResultCache::insert(const std::string &key, const CachedResult &e)
         std::lock_guard<std::mutex> lock(mu);
         mem[key] = e;
     }
-    if (dir.empty())
-        return;
-    // Unique temp name per thread, fsync, then atomic rename: after a
-    // power cut the entry is either absent or complete and durable —
-    // multi-host sweeps trust remote entries without re-checking.
-    std::ostringstream tmp;
-    tmp << diskPath(key) << ".tmp." << std::this_thread::get_id();
-    {
-        const std::string text = serializeEntry(e);
-        std::FILE *out = std::fopen(tmp.str().c_str(), "w");
-        if (!out)
-            return; // cache is best-effort; simulation result stands
-        const bool wrote =
-            std::fwrite(text.data(), 1, text.size(), out) ==
-                text.size() &&
-            std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
-        std::fclose(out);
-        if (!wrote) {
-            std::error_code ec;
-            std::filesystem::remove(tmp.str(), ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp.str(), diskPath(key), ec);
-    if (ec)
-        std::filesystem::remove(tmp.str(), ec);
+    if (!dir.empty())
+        writeDurably(diskPath(key), serializeEntry(e));
 }
 
 std::string
@@ -545,40 +676,22 @@ ResultCache::auxPath(const std::string &key) const
 bool
 ResultCache::lookupAux(const std::string &key, std::string &out)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = auxMem.find(key);
-        if (it != auxMem.end()) {
-            out = it->second;
-            ++counters.auxHits;
-            return true;
-        }
-    }
-    if (!dir.empty()) {
-        std::ifstream in(auxPath(key));
-        if (in) {
-            std::ostringstream text;
-            text << in.rdbuf();
-            std::string body = text.str();
-            // Salt-stamped header line; a mismatch means the text was
-            // derived by an incompatible code version.
-            const std::string stamp =
-                std::string("codeSalt ") + kCodeSalt + "\n";
-            if (body.compare(0, stamp.size(), stamp) == 0) {
-                body.erase(0, stamp.size());
-                std::lock_guard<std::mutex> lock(mu);
-                auxMem.emplace(key, body);
-                ++counters.auxHits;
-                out = std::move(body);
-                return true;
+    return lookupIn(
+        auxMem, key, auxPath(key),
+        [](const std::string &text, std::string &body, std::string &why) {
+            // A stamp mismatch means the text was derived by an
+            // incompatible code version.
+            const std::string stamp = auxStamp();
+            if (text.compare(0, stamp.size(), stamp) != 0) {
+                why = "code-salt mismatch";
+                return false;
             }
-            warn("ignoring aux cache entry ", auxPath(key),
-                 ": code-salt mismatch");
-        }
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    ++counters.auxMisses;
-    return false;
+            body = text.substr(stamp.size());
+            return true;
+        },
+        {&CacheStats::auxHits, &CacheStats::auxHits,
+         &CacheStats::auxMisses},
+        out);
 }
 
 void
@@ -588,31 +701,8 @@ ResultCache::insertAux(const std::string &key, const std::string &text)
         std::lock_guard<std::mutex> lock(mu);
         auxMem[key] = text;
     }
-    if (dir.empty())
-        return;
-    std::ostringstream tmp;
-    tmp << auxPath(key) << ".tmp." << std::this_thread::get_id();
-    {
-        const std::string stamped =
-            std::string("codeSalt ") + kCodeSalt + "\n" + text;
-        std::FILE *out = std::fopen(tmp.str().c_str(), "w");
-        if (!out)
-            return; // best-effort, like the result tier
-        const bool wrote =
-            std::fwrite(stamped.data(), 1, stamped.size(), out) ==
-                stamped.size() &&
-            std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
-        std::fclose(out);
-        if (!wrote) {
-            std::error_code ec;
-            std::filesystem::remove(tmp.str(), ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp.str(), auxPath(key), ec);
-    if (ec)
-        std::filesystem::remove(tmp.str(), ec);
+    if (!dir.empty())
+        writeDurably(auxPath(key), auxStamp() + text);
 }
 
 bool

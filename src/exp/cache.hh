@@ -18,8 +18,11 @@
 
 #include <cstdint>
 #include <mutex>
+#include <ostream>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <variant>
 
 #include "exp/sweep.hh"
 #include "harness/runner.hh"
@@ -60,6 +63,46 @@ struct CachedResult
     CrashVerdict verdict; //!< meaningful when kind == Crash
 };
 
+/**
+ * Where a RunResult field appears. Every field is in every cache
+ * entry; the group decides which JSON/CSV artifacts carry it.
+ */
+enum class FieldGroup
+{
+    Core,      //!< every artifact row
+    Media,     //!< rows of sweeps that touch a non-default media profile
+    Serve,     //!< rows of sweeps with serve:* jobs
+    CacheOnly, //!< no stat column: identity (the emitters print the
+               //!< job's) and eventsExecuted
+};
+
+/** One serialized RunResult field. */
+struct ResultField
+{
+    using Member =
+        std::variant<std::string RunResult::*, ModelKind RunResult::*,
+                     PersistencyModel RunResult::*, unsigned RunResult::*,
+                     std::uint64_t RunResult::*, double RunResult::*>;
+
+    const char *name; //!< cache-entry key and artifact column name
+    FieldGroup group;
+    Member member;
+};
+
+/**
+ * The result schema: every serialized RunResult field, in
+ * cache-entry order. The cache writer and reader and the JSON and CSV
+ * emitters all iterate this one table, so a new stat is one row here
+ * (plus a kCodeSalt bump in cache.cc). hostNs is deliberately absent:
+ * host wall time is non-deterministic and must never round-trip
+ * through a cache or reach an artifact.
+ */
+std::span<const ResultField> resultFields();
+
+/** Write field @p f of @p r as one whitespace-free token (an empty
+ *  string as "-"). */
+void writeField(std::ostream &os, const ResultField &f, const RunResult &r);
+
 /** Serialize a RunResult as "field value" lines. */
 std::string serializeResult(const RunResult &r);
 
@@ -75,11 +118,14 @@ std::string serializeEntry(const CachedResult &e);
 /**
  * Parse serializeEntry() output; also accepts plain
  * serializeResult() text (an entry of kind Run) and pre-hardening
- * entries without a codeSalt line.
+ * entries without a codeSalt line. Every field the entry's kind
+ * writes must be present exactly once: a missing line is a damaged
+ * entry, not a zero.
  * @param why when non-null, set to a human-readable rejection reason
- *            (truncated / malformed / code-salt mismatch) on failure
- * @return false if the text is truncated, malformed, or written by a
- *         different code version
+ *            (truncated / malformed / incomplete / code-salt mismatch)
+ *            on failure
+ * @return false if the text is truncated, malformed, incomplete, or
+ *         written by a different code version
  */
 bool deserializeEntry(const std::string &text, CachedResult &out,
                       std::string *why = nullptr);
@@ -148,6 +194,21 @@ class ResultCache
   private:
     std::string diskPath(const std::string &key) const;
     std::string auxPath(const std::string &key) const;
+
+    /** Which CacheStats counters one tier's lookups bump. */
+    struct TierCounters
+    {
+        std::uint64_t CacheStats::*memHit;
+        std::uint64_t CacheStats::*diskHit;
+        std::uint64_t CacheStats::*miss;
+    };
+
+    /** The lookup both tiers share: @p map, then the disk file at
+     *  @p path through @p decode (disk hits are promoted). */
+    template <class T, class Decode>
+    bool lookupIn(std::unordered_map<std::string, T> &map,
+                  const std::string &key, const std::string &path,
+                  Decode decode, TierCounters count, T &out);
 
     mutable std::mutex mu;
     std::unordered_map<std::string, CachedResult> mem;

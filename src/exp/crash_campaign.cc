@@ -185,33 +185,53 @@ deserializeProbeStats(const std::string &text,
     return true;
 }
 
+bool
+lookupProbeStats(const CampaignSpec &spec, ResultCache &cache,
+                 std::vector<ProbeStat> &out)
+{
+    std::string memo;
+    return cache.lookupAux(probeMemoKey(spec), memo) &&
+           deserializeProbeStats(memo, out);
+}
+
+namespace
+{
+
+/** The two stats tick selection needs, per probe job. */
+std::vector<ProbeStat>
+probeStatsOf(const SweepResult &probe_sr)
+{
+    std::vector<ProbeStat> stats;
+    stats.reserve(probe_sr.jobs.size());
+    for (std::size_t c = 0; c < probe_sr.jobs.size(); ++c)
+        stats.push_back({probe_sr.at(c).runTicks, probe_sr.at(c).epochs});
+    return stats;
+}
+
+} // namespace
+
+std::vector<ProbeStat>
+memoizeProbeStats(const CampaignSpec &spec, ResultCache &cache,
+                  const SweepResult &probe_sr)
+{
+    std::vector<ProbeStat> stats = probeStatsOf(probe_sr);
+    cache.insertAux(probeMemoKey(spec), serializeProbeStats(stats));
+    return stats;
+}
+
 std::vector<ProbeStat>
 ensureProbeStats(const CampaignSpec &spec, const RunOptions &opt,
-                 const SweepRunner &runner, bool *from_memo)
+                 bool *from_memo)
 {
-    if (from_memo)
-        *from_memo = false;
     ResultCache &cache = opt.cache ? *opt.cache : processCache();
-    const std::string key = probeMemoKey(spec);
-
-    std::string memo;
     std::vector<ProbeStat> stats;
-    if (cache.lookupAux(key, memo) &&
-        deserializeProbeStats(memo, stats)) {
-        if (from_memo)
-            *from_memo = true;
+    const bool hit = lookupProbeStats(spec, cache, stats);
+    if (from_memo)
+        *from_memo = hit;
+    if (hit)
         return stats;
-    }
-
-    const SweepResult probeSr =
-        runner ? runner(campaignProbeJobs(spec), opt)
-               : runJobs(campaignProbeJobs(spec), opt);
-    stats.clear();
-    stats.reserve(probeSr.jobs.size());
-    for (std::size_t c = 0; c < probeSr.jobs.size(); ++c)
-        stats.push_back({probeSr.at(c).runTicks, probeSr.at(c).epochs});
-    cache.insertAux(key, serializeProbeStats(stats));
-    return stats;
+    return memoizeProbeStats(spec, cache,
+                             runJobs(campaignProbeJobs(spec), opt));
 }
 
 CampaignExpansion
@@ -261,25 +281,19 @@ expandCampaign(const CampaignSpec &spec,
 CampaignExpansion
 expandCampaign(const CampaignSpec &spec, const SweepResult &probe_sr)
 {
-    std::vector<ProbeStat> stats;
-    stats.reserve(probe_sr.jobs.size());
-    for (std::size_t c = 0; c < probe_sr.jobs.size(); ++c)
-        stats.push_back({probe_sr.at(c).runTicks, probe_sr.at(c).epochs});
-    return expandCampaign(spec, stats);
+    return expandCampaign(spec, probeStatsOf(probe_sr));
 }
 
 CampaignResult
-runCampaign(const CampaignSpec &spec, const RunOptions &opt,
-            const SweepRunner &runner)
+runCampaign(const CampaignSpec &spec, const RunOptions &opt)
 {
     CampaignResult out;
     const std::vector<ProbeStat> stats =
-        ensureProbeStats(spec, opt, runner, &out.probePhaseCached);
+        ensureProbeStats(spec, opt, &out.probePhaseCached);
     CampaignExpansion expansion = expandCampaign(spec, stats);
 
     out.rows = std::move(expansion.rows);
-    out.sweep = runner ? runner(std::move(expansion.crashJobs), opt)
-                       : runJobs(std::move(expansion.crashJobs), opt);
+    out.sweep = runJobs(std::move(expansion.crashJobs), opt);
 
     // Verdict accounting, in submission (= config) order.
     out.badJobs = out.sweep.inconsistentJobs();

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,15 +26,6 @@
 
 namespace asap
 {
-
-/**
- * How a campaign runs its sweeps: any callable with the runJobs()
- * shape. The default is runJobs itself; a daemon-routed campaign
- * substitutes the svc client so probes and crash jobs execute on a
- * running asapd instead of in-process.
- */
-using SweepRunner = std::function<SweepResult(std::vector<ExperimentJob>,
-                                              const RunOptions &)>;
 
 /** How a campaign picks crash ticks within a config's runtime. */
 enum class TickStrategy
@@ -141,7 +131,7 @@ struct CampaignResult
 /**
  * Probe summary of one configuration: the only two stats crash-tick
  * selection needs. A full probe RunResult is memoized down to this
- * pair so warm (and daemon) campaigns skip the probe phase entirely —
+ * pair so warm campaigns skip the probe phase entirely —
  * no probe sweep, no per-probe cache assembly.
  */
 struct ProbeStat
@@ -169,16 +159,31 @@ bool deserializeProbeStats(const std::string &text,
                            std::vector<ProbeStat> &out);
 
 /**
- * The probe phase, memoized: probe stats for @p spec in
- * campaignProbeJobs() order, served from the ResultCache aux tier
- * when a previous campaign (this process or, with a disk cache, any
- * process) derived them, else produced by running the probe sweep
- * through @p runner (empty = runJobs) and memoized for the next run.
+ * Probe stats for @p spec from @p cache's aux tier, if a previous
+ * campaign (this process or, with a disk cache, any process) derived
+ * them.
+ * @return true and fills @p out on a hit
+ */
+bool lookupProbeStats(const CampaignSpec &spec, ResultCache &cache,
+                      std::vector<ProbeStat> &out);
+
+/**
+ * Reduce @p probe_sr — the result of running campaignProbeJobs(spec),
+ * however it was run — to probe stats and memoize them in @p cache's
+ * aux tier for the next campaign.
+ */
+std::vector<ProbeStat> memoizeProbeStats(const CampaignSpec &spec,
+                                         ResultCache &cache,
+                                         const SweepResult &probe_sr);
+
+/**
+ * The probe phase, memoized: lookupProbeStats(), else the probe sweep
+ * through runJobs() and memoizeProbeStats(). Stats come in
+ * campaignProbeJobs() order.
  * @param from_memo when non-null, set to true on an aux-tier hit
  */
 std::vector<ProbeStat> ensureProbeStats(const CampaignSpec &spec,
                                         const RunOptions &opt,
-                                        const SweepRunner &runner = {},
                                         bool *from_memo = nullptr);
 
 /**
@@ -215,12 +220,11 @@ CampaignExpansion expandCampaign(const CampaignSpec &spec,
 
 /**
  * Run a campaign: probe phase (memoized via ensureProbeStats), tick
- * selection, crash sweep. Sweeps go through @p runner (empty =
- * runJobs) with @p opt (parallel + cached).
+ * selection, crash sweep. Sweeps go through runJobs() with @p opt
+ * (parallel + cached).
  */
 CampaignResult runCampaign(const CampaignSpec &spec,
-                           const RunOptions &opt = {},
-                           const SweepRunner &runner = {});
+                           const RunOptions &opt = {});
 
 /**
  * One-line `bench/crash_campaign --repro ...` (or, for Permute jobs,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <vector>
 
 #include "sim/log.hh"
 
@@ -24,91 +25,31 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Field list shared by the JSON and CSV emitters. */
-struct Field
+/**
+ * The stat columns of one sweep, in artifact order: core fields, then
+ * the media fields only for sweeps that touch a non-default media
+ * profile, and the serve fields only for sweeps with serve:* jobs, so
+ * older artifacts keep their schema byte-for-byte. Serve latencies are
+ * in ticks (cycles @2 GHz); consumers divide by 2 for nanoseconds.
+ */
+std::vector<const ResultField *>
+statColumns(const SweepResult &sr)
 {
-    const char *name;
-    double (*get)(const RunResult &);
-    bool integral;
-};
-
-constexpr Field kFields[] = {
-    {"runTicks", [](const RunResult &r) { return double(r.runTicks); },
-     true},
-    {"pmWrites", [](const RunResult &r) { return double(r.pmWrites); },
-     true},
-    {"pmReads", [](const RunResult &r) { return double(r.pmReads); },
-     true},
-    {"cyclesBlocked",
-     [](const RunResult &r) { return double(r.cyclesBlocked); }, true},
-    {"cyclesStalled",
-     [](const RunResult &r) { return double(r.cyclesStalled); }, true},
-    {"dfenceStalled",
-     [](const RunResult &r) { return double(r.dfenceStalled); }, true},
-    {"sfenceStalled",
-     [](const RunResult &r) { return double(r.sfenceStalled); }, true},
-    {"entriesInserted",
-     [](const RunResult &r) { return double(r.entriesInserted); }, true},
-    {"epochs", [](const RunResult &r) { return double(r.epochs); },
-     true},
-    {"crossDeps", [](const RunResult &r) { return double(r.crossDeps); },
-     true},
-    {"totSpecWrites",
-     [](const RunResult &r) { return double(r.totSpecWrites); }, true},
-    {"totalUndo", [](const RunResult &r) { return double(r.totalUndo); },
-     true},
-    {"totalDelay",
-     [](const RunResult &r) { return double(r.totalDelay); }, true},
-    {"nacks", [](const RunResult &r) { return double(r.nacks); }, true},
-    {"rtMaxOccupancy",
-     [](const RunResult &r) { return double(r.rtMaxOccupancy); }, true},
-    {"pbOccMean", [](const RunResult &r) { return r.pbOccMean; }, false},
-    {"pbOccP99", [](const RunResult &r) { return double(r.pbOccP99); },
-     true},
-    {"wpqCoalesced",
-     [](const RunResult &r) { return double(r.wpqCoalesced); }, true},
-    {"suppressedWrites",
-     [](const RunResult &r) { return double(r.suppressedWrites); },
-     true},
-};
-
-/** Media + XPBuffer counters: emitted only for sweeps that touch a
- *  non-default media profile, so single-media paper-figure artifacts
- *  keep the pre-media schema byte-for-byte. */
-constexpr Field kMediaFields[] = {
-    {"xpHits", [](const RunResult &r) { return double(r.xpHits); },
-     true},
-    {"xpMisses", [](const RunResult &r) { return double(r.xpMisses); },
-     true},
-    {"mediaBytesWritten",
-     [](const RunResult &r) { return double(r.mediaBytesWritten); },
-     true},
-    {"mediaQueueDelayTicks",
-     [](const RunResult &r) { return double(r.mediaQueueDelayTicks); },
-     true},
-    {"mediaBankBusyTicks",
-     [](const RunResult &r) { return double(r.mediaBankBusyTicks); },
-     true},
-};
-
-/** Persist-latency tail + request throughput: emitted only for sweeps
- *  with serve:* jobs, so every pre-serving artifact keeps its schema.
- *  Latencies are in ticks (cycles @2 GHz); consumers divide by 2 for
- *  nanoseconds. */
-constexpr Field kServeFields[] = {
-    {"persistSamples",
-     [](const RunResult &r) { return double(r.persistSamples); }, true},
-    {"persistP50",
-     [](const RunResult &r) { return double(r.persistP50); }, true},
-    {"persistP99",
-     [](const RunResult &r) { return double(r.persistP99); }, true},
-    {"persistP999",
-     [](const RunResult &r) { return double(r.persistP999); }, true},
-    {"persistMax",
-     [](const RunResult &r) { return double(r.persistMax); }, true},
-    {"serveRequests",
-     [](const RunResult &r) { return double(r.serveRequests); }, true},
-};
+    const bool media = sr.hasNonDefaultMedia();
+    const bool serve = sr.hasServeJobs();
+    std::vector<const ResultField *> cols;
+    for (FieldGroup g : {FieldGroup::Core, FieldGroup::Media,
+                         FieldGroup::Serve}) {
+        if ((g == FieldGroup::Media && !media) ||
+            (g == FieldGroup::Serve && !serve))
+            continue;
+        for (const ResultField &f : resultFields()) {
+            if (f.group == g)
+                cols.push_back(&f);
+        }
+    }
+    return cols;
+}
 
 /** Media column label: the profile, or the '+'-joined per-MC list on
  *  heterogeneous jobs (',' is the CSV delimiter). */
@@ -123,15 +64,6 @@ mediaLabel(const SimConfig &cfg)
             c = '+';
     }
     return label;
-}
-
-void
-emitValue(std::ostream &os, const Field &f, const RunResult &r)
-{
-    if (f.integral)
-        os << static_cast<std::uint64_t>(f.get(r));
-    else
-        os << f.get(r);
 }
 
 /** RFC-4180 CSV quoting (verdict messages contain commas). */
@@ -159,7 +91,6 @@ emitJson(std::ostream &os, const SweepResult &sr)
        << ", \"diskHits\": " << sr.diskHits
        << ", \"traceHits\": " << sr.traceHits
        << ", \"traceMisses\": " << sr.traceMisses
-       << ", \"traceDiskHits\": " << sr.traceDiskHits
        << ", \"wallSeconds\": " << sr.wallSeconds;
     // Permute throughput aggregate. Host-side numbers live in the
     // sweep header next to wallSeconds — the one non-deterministic
@@ -185,7 +116,7 @@ emitJson(std::ostream &os, const SweepResult &sr)
     os << "},\n"
        << "  \"results\": [\n";
     const bool media = sr.hasNonDefaultMedia();
-    const bool serve = sr.hasServeJobs();
+    const std::vector<const ResultField *> cols = statColumns(sr);
     for (std::size_t i = 0; i < sr.jobs.size(); ++i) {
         const ExperimentJob &j = sr.jobs[i];
         const RunResult &r = sr.results[i];
@@ -198,21 +129,9 @@ emitJson(std::ostream &os, const SweepResult &sr)
                << '"';
         os << ", \"seed\": " << j.params.seed
            << ", \"opsPerThread\": " << j.params.opsPerThread;
-        for (const Field &f : kFields) {
-            os << ", \"" << f.name << "\": ";
-            emitValue(os, f, r);
-        }
-        if (media) {
-            for (const Field &f : kMediaFields) {
-                os << ", \"" << f.name << "\": ";
-                emitValue(os, f, r);
-            }
-        }
-        if (serve) {
-            for (const Field &f : kServeFields) {
-                os << ", \"" << f.name << "\": ";
-                emitValue(os, f, r);
-            }
+        for (const ResultField *f : cols) {
+            os << ", \"" << f->name << "\": ";
+            writeField(os, *f, r);
         }
         // Crash/permute jobs append the tagged verdict payload;
         // pure-Run sweeps keep the PR 1 schema byte-for-byte.
@@ -261,21 +180,13 @@ emitCsv(std::ostream &os, const SweepResult &sr)
     const bool permute = sr.hasPermuteJobs();
     const bool verdict = crash || permute;
     const bool media = sr.hasNonDefaultMedia();
-    const bool serve = sr.hasServeJobs();
+    const std::vector<const ResultField *> cols = statColumns(sr);
     os << "workload,model,persistency,cores";
     if (media)
         os << ",media";
     os << ",seed,opsPerThread";
-    for (const Field &f : kFields)
-        os << ',' << f.name;
-    if (media) {
-        for (const Field &f : kMediaFields)
-            os << ',' << f.name;
-    }
-    if (serve) {
-        for (const Field &f : kServeFields)
-            os << ',' << f.name;
-    }
+    for (const ResultField *f : cols)
+        os << ',' << f->name;
     if (verdict) {
         os << ",kind,crashTick,actualTick,consistent,committedMax,"
               "storesLogged,linesSurvived,undoReplayed,adrDrainWrites";
@@ -296,21 +207,9 @@ emitCsv(std::ostream &os, const SweepResult &sr)
         if (media)
             os << ',' << mediaLabel(j.cfg);
         os << ',' << j.params.seed << ',' << j.params.opsPerThread;
-        for (const Field &f : kFields) {
+        for (const ResultField *f : cols) {
             os << ',';
-            emitValue(os, f, r);
-        }
-        if (media) {
-            for (const Field &f : kMediaFields) {
-                os << ',';
-                emitValue(os, f, r);
-            }
-        }
-        if (serve) {
-            for (const Field &f : kServeFields) {
-                os << ',';
-                emitValue(os, f, r);
-            }
+            writeField(os, *f, r);
         }
         if (verdict) {
             const CrashVerdict &v = sr.verdicts[i];

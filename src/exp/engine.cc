@@ -498,7 +498,6 @@ runJobs(std::vector<ExperimentJob> jobs, const RunOptions &opt)
     const TraceCacheStats traceAfter = traceCacheStats();
     sr.traceHits = traceAfter.hits - traceBefore.hits;
     sr.traceMisses = traceAfter.misses - traceBefore.misses;
-    sr.traceDiskHits = traceAfter.diskHits - traceBefore.diskHits;
     sr.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

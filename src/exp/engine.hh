@@ -43,9 +43,8 @@ struct RunOptions
     /**
      * Externally owned scheduler to run simulation tasks on; nullptr
      * makes the engine spin up (and tear down) its own ThreadPool.
-     * A long-running service passes its shared scheduler here so
-     * every sweep competes under one admission policy instead of
-     * each one claiming the whole machine.
+     * A caller that wants to observe or pace every job (a timing
+     * harness, say) passes its own executor here.
      */
     TaskExecutor *executor = nullptr;
 
@@ -74,7 +73,6 @@ struct SweepResult
     std::uint64_t diskHits = 0;   //!< subset of cacheHits from disk
     std::uint64_t traceHits = 0;  //!< simulations reusing a memoised trace
     std::uint64_t traceMisses = 0; //!< simulations that generated one
-    std::uint64_t traceDiskHits = 0; //!< traces replayed from ASAP_TRACE_DIR
     double wallSeconds = 0.0;     //!< sweep wall-clock
 
     const RunResult &at(std::size_t i) const { return results[i]; }
@@ -112,8 +110,7 @@ struct SweepResult
  * Simulate one job (no cache, no pool): run or crash-inject as the
  * kind demands and return the tagged payload. This is the unit of
  * work everything above schedules — runJobs() wraps it in dedup +
- * cache + assembly, and the svc daemon dispatches it from its own
- * priority queue.
+ * cache + assembly.
  */
 CachedResult executeJob(const ExperimentJob &job);
 

@@ -18,6 +18,18 @@ toString(JobKind kind)
     }
 }
 
+bool
+tryParseJobKind(const std::string &name, JobKind &out)
+{
+    for (JobKind k : {JobKind::Run, JobKind::Crash, JobKind::Permute}) {
+        if (name == toString(k)) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::size_t
 SweepSpec::jobCount() const
 {

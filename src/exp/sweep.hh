@@ -41,6 +41,9 @@ enum class JobKind
 /** Printable name ("run"/"crash"/"permute"). */
 std::string toString(JobKind kind);
 
+/** Parse toString(JobKind) output; returns false on anything else. */
+bool tryParseJobKind(const std::string &name, JobKind &out);
+
 /**
  * One simulation the engine can run: runExperiment(workload, cfg,
  * params). cfg carries the model/persistency/core-count selection.
@@ -63,11 +66,9 @@ struct ExperimentJob
 
     /**
      * Check-loop execution knobs (engine name and worker threads).
-     * Like the parallel-kernel knobs on SimConfig, these deliberately
-     * do NOT enter job keys, caches or the wire protocol: every
+     * These deliberately do NOT enter job keys or caches: every
      * engine/thread-count combination produces bit-identical
-     * verdicts, so keying them would only split the cache (and
-     * daemon-routed jobs simply run the receiver's defaults).
+     * verdicts, so keying them would only split the cache.
      */
     std::string permuteEngine;   //!< "", "incremental", "naive"
     unsigned permuteThreads = 1; //!< 1 = inline, 0 = hw threads

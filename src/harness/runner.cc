@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -13,10 +10,8 @@
 
 #include "harness/system.hh"
 #include "permute/permute.hh"
-#include "pm/trace_io.hh"
 #include "recovery/checker.hh"
 #include "serve/op_stream.hh"
-#include "sim/hash.hh"
 #include "sim/log.hh"
 #include "workloads/registry.hh"
 #include "workloads/synthetic.hh"
@@ -38,7 +33,6 @@ hostNowNs()
 }
 
 std::atomic<std::uint64_t> profTraceGenNs{0};
-std::atomic<std::uint64_t> profTraceLoadNs{0};
 std::atomic<std::uint64_t> profSimulateNs{0};
 std::atomic<std::uint64_t> profCheckNs{0};
 std::atomic<std::uint64_t> profSimRuns{0};
@@ -91,34 +85,6 @@ std::unordered_map<std::string, std::shared_ptr<TraceCacheEntry>>
     traceMap;
 std::atomic<std::uint64_t> traceHits{0};
 std::atomic<std::uint64_t> traceMisses{0};
-std::atomic<std::uint64_t> traceDiskHits{0};
-
-std::mutex traceDirMu;
-std::string traceDir;
-bool traceDirSet = false;
-
-void
-prepareTraceDir(const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        warn("trace cache: cannot create '", dir, "': ", ec.message());
-}
-
-/** File the disk tier stores a given generation key under. The name
- *  is only a rendezvous — the key embedded in the file is what
- *  actually authenticates it on load. */
-std::string
-traceDiskPath(const std::string &dir, const std::string &key)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(stableHash64(key)));
-    return dir + "/trace-" + hex + ".bin";
-}
 
 std::string
 traceKey(const std::string &workload, unsigned cores,
@@ -150,35 +116,12 @@ obtainJobTrace(const std::string &workload, const SimConfig &cfg,
         return entry->trace;
     }
 
-    // Disk tier: another process (or an earlier run) may have left
-    // the trace under ASAP_TRACE_DIR. A file that fails verification
-    // is not an error — log why and fall through to regeneration,
-    // which overwrites it with a good copy.
-    const std::string dir = traceDirectory();
-    std::string path;
-    if (!dir.empty()) {
-        path = traceDiskPath(dir, key);
-        std::string why;
-        const std::uint64_t t0 = hostNowNs();
-        if (tryLoadTraceForKey(path, key, entry->trace, &why)) {
-            profTraceLoadNs.fetch_add(hostNowNs() - t0,
-                                      std::memory_order_relaxed);
-            entry->ready = true;
-            traceDiskHits.fetch_add(1, std::memory_order_relaxed);
-            return entry->trace;
-        }
-        if (why != "cannot read file")
-            warn("trace cache: regenerating '", path, "': ", why);
-    }
-
     const std::uint64_t t0 = hostNowNs();
     entry->trace = buildJobTrace(workload, cfg, p);
     profTraceGenNs.fetch_add(hostNowNs() - t0,
                              std::memory_order_relaxed);
     entry->ready = true;
     traceMisses.fetch_add(1, std::memory_order_relaxed);
-    if (!path.empty())
-        saveTraceAtomic(entry->trace, path, key);
     return entry->trace;
 }
 
@@ -254,7 +197,6 @@ traceCacheStats()
     TraceCacheStats s;
     s.hits = traceHits.load(std::memory_order_relaxed);
     s.misses = traceMisses.load(std::memory_order_relaxed);
-    s.diskHits = traceDiskHits.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -265,29 +207,11 @@ clearTraceCache()
     traceMap.clear();
     traceHits.store(0, std::memory_order_relaxed);
     traceMisses.store(0, std::memory_order_relaxed);
-    traceDiskHits.store(0, std::memory_order_relaxed);
 }
 
 void
-setTraceDirectory(const std::string &dir)
+setTraceDirectory(const std::string &)
 {
-    std::lock_guard<std::mutex> lock(traceDirMu);
-    traceDir = dir;
-    traceDirSet = true;
-    prepareTraceDir(traceDir);
-}
-
-std::string
-traceDirectory()
-{
-    std::lock_guard<std::mutex> lock(traceDirMu);
-    if (!traceDirSet) {
-        const char *env = std::getenv("ASAP_TRACE_DIR");
-        traceDir = env ? env : "";
-        traceDirSet = true;
-        prepareTraceDir(traceDir);
-    }
-    return traceDir;
 }
 
 HostProfile
@@ -295,7 +219,6 @@ hostProfile()
 {
     HostProfile hp;
     hp.traceGenNs = profTraceGenNs.load(std::memory_order_relaxed);
-    hp.traceLoadNs = profTraceLoadNs.load(std::memory_order_relaxed);
     hp.simulateNs = profSimulateNs.load(std::memory_order_relaxed);
     hp.checkNs = profCheckNs.load(std::memory_order_relaxed);
     hp.simRuns = profSimRuns.load(std::memory_order_relaxed);

@@ -111,31 +111,23 @@ struct RunResult
  */
 struct TraceCacheStats
 {
-    std::uint64_t hits = 0;     //!< runs served a memoised trace
-    std::uint64_t misses = 0;   //!< runs that generated the trace
-    std::uint64_t diskHits = 0; //!< traces replayed from ASAP_TRACE_DIR
+    std::uint64_t hits = 0;   //!< runs served a memoised trace
+    std::uint64_t misses = 0; //!< runs that generated the trace
 };
 
 /** Snapshot of the process-wide trace-memoisation counters. */
 TraceCacheStats traceCacheStats();
 
-/** Drop memoised traces and zero the counters (tests). The disk-tier
- *  directory is left configured. */
+/** Drop memoised traces and zero the counters (tests). */
 void clearTraceCache();
 
 /**
- * Point the on-disk trace tier at @p dir (created if missing; empty
- * disables the tier). Overrides the ASAP_TRACE_DIR environment
- * variable, which is read once on first use. The directory may be
- * shared by concurrent processes and shards: files are written via
- * temp + rename and verified (version, embedded parameter key,
- * checksum) on load, so a corrupt or stale file costs a regeneration,
- * never a wrong trace.
+ * No-op kept for source compatibility: traces are a pure function of
+ * (workload, cores, WorkloadParams) and live only in the in-process
+ * memo, so there is no trace directory to point anywhere. The
+ * repository benchmark still calls it; it goes when that call does.
  */
 void setTraceDirectory(const std::string &dir);
-
-/** The active trace-tier directory (empty when disabled). */
-std::string traceDirectory();
 
 /**
  * Accumulated host-side wall time per runner phase, process-wide.
@@ -145,7 +137,6 @@ std::string traceDirectory();
 struct HostProfile
 {
     std::uint64_t traceGenNs = 0;  //!< generating TraceSets
-    std::uint64_t traceLoadNs = 0; //!< loading TraceSets from disk
     std::uint64_t simulateNs = 0;  //!< System::run / crashAt
     std::uint64_t checkNs = 0;     //!< recovery-consistency checking
     /** Simulations run: one per runExperiment and one per simulated

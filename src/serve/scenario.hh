@@ -11,8 +11,8 @@
  * tenant mix layered on top.
  *
  * Scenario workload names carry the "serve:" prefix (e.g.
- * "serve:kv-zipf") so the exp engine, caches, sweeps and the daemon
- * can tell streaming jobs from materialized ones by name alone.
+ * "serve:kv-zipf") so the exp engine, caches and sweeps can tell
+ * streaming jobs from materialized ones by name alone.
  */
 
 #ifndef ASAP_SERVE_SCENARIO_HH
@@ -61,7 +61,7 @@ const std::vector<ServeScenario> &allServeScenarios();
 
 /**
  * Find a scenario by workload name ("serve:x") or bare name ("x");
- * nullptr if unknown. For callers (like the daemon wire layer) that
+ * nullptr if unknown. For callers (like bench argument parsing) that
  * must report bad names instead of dying on them.
  */
 const ServeScenario *tryFindServeScenario(const std::string &workload);

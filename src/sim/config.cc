@@ -7,30 +7,50 @@
 namespace asap
 {
 
+bool
+tryParseModelKind(const std::string &name, ModelKind &out)
+{
+    if (name == "baseline")
+        out = ModelKind::Baseline;
+    else if (name == "hops")
+        out = ModelKind::Hops;
+    else if (name == "asap")
+        out = ModelKind::Asap;
+    else if (name == "eadr" || name == "bbb" || name == "ideal")
+        out = ModelKind::Eadr;
+    else
+        return false;
+    return true;
+}
+
+bool
+tryParsePersistencyModel(const std::string &name, PersistencyModel &out)
+{
+    if (name == "ep" || name == "epoch")
+        out = PersistencyModel::Epoch;
+    else if (name == "rp" || name == "release")
+        out = PersistencyModel::Release;
+    else
+        return false;
+    return true;
+}
+
 ModelKind
 parseModelKind(const std::string &name)
 {
-    if (name == "baseline")
-        return ModelKind::Baseline;
-    if (name == "hops")
-        return ModelKind::Hops;
-    if (name == "asap")
-        return ModelKind::Asap;
-    if (name == "eadr" || name == "bbb" || name == "ideal")
-        return ModelKind::Eadr;
-    fatal("unknown model '", name, "' (want baseline|hops|asap|eadr)");
-    return ModelKind::Asap; // unreachable
+    ModelKind kind = ModelKind::Asap;
+    if (!tryParseModelKind(name, kind))
+        fatal("unknown model '", name, "' (want baseline|hops|asap|eadr)");
+    return kind;
 }
 
 PersistencyModel
 parsePersistencyModel(const std::string &name)
 {
-    if (name == "ep" || name == "epoch")
-        return PersistencyModel::Epoch;
-    if (name == "rp" || name == "release")
-        return PersistencyModel::Release;
-    fatal("unknown persistency model '", name, "' (want ep|rp)");
-    return PersistencyModel::Release; // unreachable
+    PersistencyModel pm = PersistencyModel::Release;
+    if (!tryParsePersistencyModel(name, pm))
+        fatal("unknown persistency model '", name, "' (want ep|rp)");
+    return pm;
 }
 
 std::string

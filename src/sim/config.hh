@@ -41,10 +41,18 @@ enum class PersistencyModel
     Release,    //!< release persistency (RP): deps only on acquire/release
 };
 
-/** Parse "baseline|hops|asap|eadr" (fatal on anything else). */
+/** Parse "baseline|hops|asap|eadr" (plus the eADR aliases "bbb" and
+ *  "ideal"); returns false on anything else. */
+bool tryParseModelKind(const std::string &name, ModelKind &out);
+
+/** Parse "ep|rp" (or "epoch|release"); returns false otherwise. */
+bool tryParsePersistencyModel(const std::string &name,
+                              PersistencyModel &out);
+
+/** tryParseModelKind(), fatal on an unknown name. */
 ModelKind parseModelKind(const std::string &name);
 
-/** Parse "ep|rp" (fatal on anything else). */
+/** tryParsePersistencyModel(), fatal on an unknown name. */
 PersistencyModel parsePersistencyModel(const std::string &name);
 
 /** Printable names for the enums above. */

@@ -24,10 +24,9 @@ namespace asap
 
 /**
  * Where the engine puts simulation tasks. ThreadPool is the default
- * implementation; a long-running service can substitute its own
- * scheduler (e.g. src/svc's priority queue) so sweeps from many
- * clients share one set of workers under an admission policy the
- * engine knows nothing about.
+ * implementation; a caller can substitute its own executor (the
+ * repository benchmark times every job this way) without the engine
+ * knowing.
  */
 class TaskExecutor
 {

@@ -287,6 +287,64 @@ TEST(Campaign, WarmCacheServesTheWholeCampaign)
                           warm.sweep.verdicts[i]);
 }
 
+TEST(ProbeMemo, WarmCampaignSkipsTheProbePhase)
+{
+    setLogQuiet(true);
+    CampaignSpec spec;
+    spec.workloads = {"queue"};
+    spec.models = {{ModelKind::Asap, PersistencyModel::Release}};
+    spec.coreCounts = {2};
+    spec.params = tinyParams();
+    spec.ticksPerConfig = 3;
+
+    ResultCache cache;
+    RunOptions ro;
+    ro.cache = &cache;
+    const auto csvOf = [](const SweepResult &sr) {
+        std::ostringstream os;
+        emitCsv(os, sr);
+        return os.str();
+    };
+
+    const CampaignResult cold = runCampaign(spec, ro);
+    EXPECT_FALSE(cold.probePhaseCached);
+
+    const CampaignResult warm = runCampaign(spec, ro);
+    EXPECT_TRUE(warm.probePhaseCached);
+    EXPECT_EQ(csvOf(warm.sweep), csvOf(cold.sweep));
+    ASSERT_EQ(warm.rows.size(), cold.rows.size());
+    for (std::size_t i = 0; i < warm.rows.size(); ++i) {
+        EXPECT_EQ(warm.rows[i].probeTicks, cold.rows[i].probeTicks);
+        EXPECT_EQ(warm.rows[i].consistent, cold.rows[i].consistent);
+    }
+
+    // The memo must key on probe-job identity: a different seed is a
+    // different probe set and must not be served from this memo.
+    CampaignSpec other = spec;
+    other.params.seed = 99;
+    const CampaignResult miss = runCampaign(other, ro);
+    EXPECT_FALSE(miss.probePhaseCached);
+}
+
+TEST(ProbeMemo, SerializationRejectsCorruptText)
+{
+    std::vector<ProbeStat> stats(2);
+    stats[0] = {1000, 4};
+    stats[1] = {2000, 8};
+    const std::string text = serializeProbeStats(stats);
+
+    std::vector<ProbeStat> back;
+    ASSERT_TRUE(deserializeProbeStats(text, back));
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0].runTicks, 1000u);
+    EXPECT_EQ(back[1].epochs, 8u);
+
+    EXPECT_FALSE(deserializeProbeStats("", back));
+    EXPECT_FALSE(deserializeProbeStats("probeStats v99\n", back));
+    EXPECT_FALSE(
+        deserializeProbeStats(text.substr(0, text.size() / 2), back));
+}
+
 TEST(Campaign, ReproCommandNamesEveryCoordinate)
 {
     JobSet set;

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -212,6 +215,51 @@ TEST(Lease, HeartbeatRefreshesHeldLeases)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_GT(fs::last_write_time(path), aged);
     EXPECT_TRUE(a.isFresh(path));
+}
+
+TEST(Lease, EmergencyReleaseUnlinksHeldLeases)
+{
+    const std::string dir = scratchDir("dist_lease_emergency");
+    LeaseConfig lc;
+    lc.dir = dir;
+    LeaseManager lm(lc);
+
+    ASSERT_EQ(lm.tryAcquire("job-a"), LeaseManager::Acquire::Acquired);
+    ASSERT_EQ(lm.tryAcquire("job-b"), LeaseManager::Acquire::Acquired);
+    EXPECT_TRUE(fs::exists(lm.leasePath("job-a")));
+    EXPECT_GE(LeaseManager::emergencyRegisteredCount(), 2u);
+
+    // Normal release must disarm its slot (no double-release later).
+    lm.release("job-b");
+    EXPECT_FALSE(fs::exists(lm.leasePath("job-b")));
+
+    EXPECT_GE(LeaseManager::emergencyReleaseAll(), 1u);
+    EXPECT_FALSE(fs::exists(lm.leasePath("job-a")));
+    EXPECT_EQ(LeaseManager::emergencyRegisteredCount(), 0u);
+}
+
+TEST(LeaseDeathTest, SignalHandlerReleasesLeasesBeforeDying)
+{
+    const std::string dir = scratchDir("dist_lease_signal");
+    const std::string leaseFile = dir + "/job-x.lease";
+
+    EXPECT_EXIT(
+        {
+            installLeaseSignalHandler();
+            LeaseConfig lc;
+            lc.dir = dir;
+            LeaseManager lm(lc);
+            if (lm.tryAcquire("job-x") !=
+                LeaseManager::Acquire::Acquired)
+                ::_exit(3);
+            ::raise(SIGTERM); // handler unlinks, then re-raises
+            ::_exit(4);       // unreachable if the handler re-raised
+        },
+        ::testing::KilledBySignal(SIGTERM), "");
+
+    // The interrupted process must not have stranded its lease for a
+    // TTL: other shards can claim the job immediately.
+    EXPECT_FALSE(fs::exists(leaseFile));
 }
 
 TEST(Manifest, SerializationRoundTrips)

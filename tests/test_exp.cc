@@ -13,6 +13,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/cache.hh"
 #include "exp/emit.hh"
@@ -62,6 +65,102 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.wpqCoalesced, b.wpqCoalesced);
     EXPECT_EQ(a.suppressedWrites, b.suppressedWrites);
 }
+
+/** An entry of @p kind with every serialized field set to a distinct
+ *  non-default value. */
+CachedResult
+fullEntry(JobKind kind)
+{
+    CachedResult e;
+    e.kind = kind;
+    RunResult &r = e.run;
+    r.workload = "cceh";
+    r.model = ModelKind::Hops;
+    r.persistency = PersistencyModel::Epoch;
+    r.cores = 8;
+    r.media = "slow-nvm";
+    r.runTicks = 1000001;
+    r.pmWrites = 1002;
+    r.pmReads = 1003;
+    r.cyclesBlocked = 1004;
+    r.cyclesStalled = 1005;
+    r.dfenceStalled = 1006;
+    r.sfenceStalled = 1007;
+    r.entriesInserted = 1008;
+    r.epochs = 1009;
+    r.crossDeps = 1010;
+    r.totSpecWrites = 1011;
+    r.totalUndo = 1012;
+    r.totalDelay = 1013;
+    r.nacks = 1014;
+    r.rtMaxOccupancy = 1015;
+    r.pbOccMean = 3.25;
+    r.pbOccP99 = 1017;
+    r.wpqCoalesced = 1018;
+    r.suppressedWrites = 1019;
+    r.xpHits = 1020;
+    r.xpMisses = 1021;
+    r.mediaBytesWritten = 1022;
+    r.mediaQueueDelayTicks = 1023;
+    r.mediaBankBusyTicks = 1024;
+    r.eventsExecuted = 1025;
+    r.persistSamples = 1026;
+    r.persistP50 = 1027;
+    r.persistP99 = 1028;
+    r.persistP999 = 1029;
+    r.persistMax = 1030;
+    r.serveRequests = 1031;
+    if (kind == JobKind::Run)
+        return e;
+    CrashVerdict &v = e.verdict;
+    v.consistent = false;
+    v.message = "epoch (t1,e3) lost a write: line 77";
+    v.crashTick = 2001;
+    v.actualTick = 2002;
+    v.committedUpTo = {3, 1, 0, 7};
+    v.storesLogged = 2003;
+    v.linesSurvived = 2004;
+    v.undoReplayed = 2005;
+    v.adrDrainWrites = 2006;
+    if (kind == JobKind::Crash)
+        return e;
+    v.statesChecked = 2007;
+    v.statesReachable = 2008;
+    v.distinctStates = 2009;
+    v.permuteAtoms = 2010;
+    v.truncated = true;
+    v.inconsistentStates = 2011;
+    v.firstBadState = "2a";
+    return e;
+}
+
+/** The stat lines of fullEntry(), as the asap-sim-v7 format writes
+ *  them (recorded from the hand-written serializer this table-driven
+ *  one replaced). */
+const char *const kFullResultLines =
+    "workload cceh\nmodel hops\npersistency ep\ncores 8\n"
+    "runTicks 1000001\npmWrites 1002\npmReads 1003\n"
+    "cyclesBlocked 1004\ncyclesStalled 1005\ndfenceStalled 1006\n"
+    "sfenceStalled 1007\nentriesInserted 1008\nepochs 1009\n"
+    "crossDeps 1010\ntotSpecWrites 1011\ntotalUndo 1012\n"
+    "totalDelay 1013\nnacks 1014\nrtMaxOccupancy 1015\n"
+    "pbOccMean 3.25\npbOccP99 1017\nwpqCoalesced 1018\n"
+    "suppressedWrites 1019\nmedia slow-nvm\nxpHits 1020\n"
+    "xpMisses 1021\nmediaBytesWritten 1022\n"
+    "mediaQueueDelayTicks 1023\nmediaBankBusyTicks 1024\n"
+    "eventsExecuted 1025\npersistSamples 1026\npersistP50 1027\n"
+    "persistP99 1028\npersistP999 1029\npersistMax 1030\n"
+    "serveRequests 1031\n";
+
+const char *const kFullCrashLines =
+    "vConsistent 0\nvCrashTick 2001\nvActualTick 2002\n"
+    "vStoresLogged 2003\nvLinesSurvived 2004\nvUndoReplayed 2005\n"
+    "vAdrDrainWrites 2006\nvCommitted 4 3 1 0 7\n";
+
+const char *const kFullPermuteLines =
+    "vStatesChecked 2007\nvStatesReachable 2008\n"
+    "vDistinctStates 2009\nvPermuteAtoms 2010\nvTruncated 1\n"
+    "vInconsistentStates 2011\nvFirstBadState 2a\n";
 
 TEST(SweepSpec, ExpandsCrossProductInTableOrder)
 {
@@ -153,6 +252,117 @@ TEST(Cache, ResultSerializationRoundTrips)
     const std::string text = serializeResult(r);
     EXPECT_FALSE(
         deserializeResult(text.substr(0, text.size() / 2), back));
+
+    // The on-disk format is pinned: fully populated Run, Crash and
+    // Permute entries serialize to exactly the recorded text...
+    const std::string salt =
+        std::string("codeSalt ") + cacheCodeSalt() + "\n";
+    const std::string message =
+        "vMessage epoch (t1,e3) lost a write: line 77\n";
+    const std::pair<JobKind, std::string> pinned[] = {
+        {JobKind::Run, salt + kFullResultLines + "end 1\n"},
+        {JobKind::Crash, salt + "kind crash\n" + kFullResultLines +
+                             kFullCrashLines + message + "end 1\n"},
+        {JobKind::Permute, salt + "kind permute\n" + kFullResultLines +
+                               kFullCrashLines + kFullPermuteLines +
+                               message + "end 1\n"},
+    };
+    for (const auto &[kind, expected] : pinned) {
+        SCOPED_TRACE(toString(kind));
+        const CachedResult e = fullEntry(kind);
+        ASSERT_EQ(serializeEntry(e), expected);
+        CachedResult out;
+        std::string why;
+        ASSERT_TRUE(deserializeEntry(expected, out, &why)) << why;
+        EXPECT_EQ(out.kind, kind);
+        EXPECT_EQ(out.run, e.run);
+        EXPECT_EQ(out.verdict, e.verdict);
+
+        // ...and dropping any one line rejects the entry instead of
+        // reading that field as zero. Three lines are optional by
+        // format: the salt stamp (pre-hardening entries lack it) and
+        // the two string fields written only when non-empty.
+        std::istringstream is(expected);
+        std::vector<std::string> lines;
+        for (std::string line; std::getline(is, line);)
+            lines.push_back(line + "\n");
+        for (std::size_t drop = 0; drop < lines.size(); ++drop) {
+            const std::string &line = lines[drop];
+            if (line == salt || line == message ||
+                line.rfind("vFirstBadState ", 0) == 0)
+                continue;
+            std::string damaged;
+            for (std::size_t i = 0; i < lines.size(); ++i) {
+                if (i != drop)
+                    damaged += lines[i];
+            }
+            EXPECT_FALSE(deserializeEntry(damaged, out, &why))
+                << "accepted without: " << line;
+        }
+    }
+}
+
+TEST(Cache, DamagedEntryIsResimulatedNotFatal)
+{
+    setLogQuiet(true);
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "asap_exp_damaged")
+            .string();
+    std::filesystem::remove_all(dir);
+
+    JobSet set;
+    set.add("queue", ModelKind::Asap, PersistencyModel::Release, 2,
+            tinyParams());
+    const std::string key = jobKey(set.jobs()[0]);
+    RunResult good;
+    {
+        ResultCache writer(dir);
+        RunOptions opt;
+        opt.cache = &writer;
+        good = runJobs(set.jobs(), opt).results[0];
+    }
+
+    // Unknown enum names in an entry (a hand edit, a bit flip) must
+    // read as a damaged entry, never as a fatal parse error.
+    const std::string path = dir + "/" + key + ".result";
+    std::string text;
+    {
+        std::ifstream in(path);
+        std::ostringstream os;
+        os << in.rdbuf();
+        text = os.str();
+    }
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{"model asap", "model asaq"},
+          {"persistency rp", "persistency rq"}}) {
+        SCOPED_TRACE(to);
+        std::string damaged = text;
+        const std::size_t at = damaged.find(from + "\n");
+        ASSERT_NE(at, std::string::npos);
+        damaged.replace(at, from.size(), to);
+        std::ofstream(path) << damaged;
+
+        CachedResult out;
+        std::string why;
+        EXPECT_FALSE(deserializeEntry(damaged, out, &why));
+        EXPECT_NE(why.find(to.substr(to.find(' ') + 1)),
+                  std::string::npos)
+            << why;
+
+        // A fresh cache on the damaged directory misses and the sweep
+        // re-simulates the same result (and rewrites a good entry).
+        ResultCache reader(dir);
+        RunOptions opt;
+        opt.cache = &reader;
+        const SweepResult sr = runJobs(set.jobs(), opt);
+        EXPECT_EQ(sr.uniqueRuns, 1u);
+        EXPECT_EQ(reader.stats().misses, 1u);
+        expectSameResult(sr.results[0], good);
+    }
+    CachedResult healed;
+    ResultCache reader(dir);
+    EXPECT_TRUE(reader.lookup(key, healed));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
@@ -380,6 +590,18 @@ TEST(Engine, TraceMemoizationCountsHitsAndMisses)
     const TraceCacheStats stats = traceCacheStats();
     EXPECT_GE(stats.hits, 2u);
     EXPECT_GE(stats.misses, 1u);
+}
+
+TEST(TraceMemo, RepeatedRunsInOneProcessUseTheMemo)
+{
+    setLogQuiet(true);
+    clearTraceCache();
+    for (int i = 0; i < 2; ++i)
+        runExperiment("cceh", ModelKind::Asap, PersistencyModel::Release,
+                      2, tinyParams());
+    const TraceCacheStats s = traceCacheStats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 1u);
 }
 
 TEST(Engine, CrashPointJobsShareOneSimulation)

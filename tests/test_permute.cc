@@ -22,7 +22,6 @@
 #include "permute/permute.hh"
 #include "recovery/checker.hh"
 #include "sim/log.hh"
-#include "svc/wire.hh"
 #include "workloads/registry.hh"
 
 namespace asap
@@ -481,36 +480,6 @@ TEST(PermuteJobs, EntrySerializationRoundTripsCoverage)
     ASSERT_TRUE(deserializeEntry(serializeEntry(e), back));
     EXPECT_EQ(back.kind, JobKind::Permute);
     expectSamePermuteVerdict(e.verdict, back.verdict);
-}
-
-TEST(PermuteJobs, WireCodecRoundTripsPermuteJobs)
-{
-    JobSet set;
-    SimConfig cfg;
-    cfg.model = ModelKind::Asap;
-    cfg.persistency = PersistencyModel::Release;
-    set.addPermute("queue", cfg, tinyParams(), 31337, 512, 9,
-                   "drop-undo", "1f");
-    const ExperimentJob &job = set.jobs()[0];
-
-    ExperimentJob back;
-    std::string why;
-    ASSERT_TRUE(jobFromJson(jobToJson(job), back, &why)) << why;
-    EXPECT_EQ(back.kind, JobKind::Permute);
-    EXPECT_EQ(back.permuteBound, 512u);
-    EXPECT_EQ(back.permuteSeed, 9u);
-    EXPECT_EQ(back.permuteFault, "drop-undo");
-    EXPECT_EQ(back.permuteState, "1f");
-    // Bit-identical addressing across the wire: same cache key.
-    EXPECT_EQ(jobKey(back), jobKey(job));
-
-    // Bad knobs are rejected with a reason, not accepted silently.
-    Json bad = jobToJson(job);
-    bad.set("permuteFault", Json::str("explode"));
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
-    bad = jobToJson(job);
-    bad.set("permuteState", Json::str("not-hex"));
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
 }
 
 // --------------------------------------------- end-to-end experiments

@@ -3,16 +3,13 @@
  * Robustness sweeps: pathological configurations (tiny buffers,
  * single banks, one or many controllers, line-grained interleave)
  * must still run to completion and, under ASAP, crash consistently.
- * Plus trace serialization round-trips and replay equivalence.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "harness/system.hh"
-#include "pm/trace_io.hh"
 #include "recovery/checker.hh"
 #include "sim/log.hh"
 #include "workloads/registry.hh"
@@ -88,79 +85,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ConfigCase> &info) {
         return info.param.name;
     });
-
-// ----------------------------------------------------------- trace io
-
-TEST(TraceIo, RoundTripPreservesOps)
-{
-    setLogQuiet(true);
-    WorkloadParams p = tinyParams();
-    TraceSet original = buildTrace("echo", 4, p);
-    const std::string path = "/tmp/asap_trace_roundtrip.bin";
-    saveTrace(original, path);
-    TraceSet loaded = loadTrace(path);
-
-    ASSERT_EQ(loaded.threads.size(), original.threads.size());
-    for (std::size_t t = 0; t < original.threads.size(); ++t) {
-        ASSERT_EQ(loaded.threads[t].size(), original.threads[t].size());
-        for (std::size_t i = 0; i < original.threads[t].size(); ++i) {
-            const TraceOp &a = original.threads[t][i];
-            const TraceOp &b = loaded.threads[t][i];
-            EXPECT_EQ(a.type, b.type);
-            EXPECT_EQ(a.isPm, b.isPm);
-            EXPECT_EQ(a.cycles, b.cycles);
-            EXPECT_EQ(a.addr, b.addr);
-            EXPECT_EQ(a.value, b.value);
-            EXPECT_EQ(a.srcThread, b.srcThread);
-            EXPECT_EQ(a.srcRelease, b.srcRelease);
-        }
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, ReplayOfLoadedTraceIsIdentical)
-{
-    setLogQuiet(true);
-    WorkloadParams p = tinyParams();
-    const std::string path = "/tmp/asap_trace_replay.bin";
-    saveTrace(buildTrace("p-clht", 4, p), path);
-
-    SimConfig cfg;
-    Tick direct = 0, reloaded = 0;
-    {
-        System sys(cfg);
-        sys.loadTrace(buildTrace("p-clht", 4, p));
-        ASSERT_TRUE(sys.run());
-        direct = sys.runTicks();
-    }
-    {
-        System sys(cfg);
-        sys.loadTrace(loadTrace(path));
-        ASSERT_TRUE(sys.run());
-        reloaded = sys.runTicks();
-    }
-    EXPECT_EQ(direct, reloaded);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIoDeath, MissingFileIsFatal)
-{
-    setLogQuiet(true);
-    EXPECT_DEATH(loadTrace("/tmp/definitely_missing_asap_trace.bin"),
-                 "cannot open");
-}
-
-TEST(TraceIoDeath, GarbageFileIsFatal)
-{
-    setLogQuiet(true);
-    const std::string path = "/tmp/asap_trace_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a trace at all, sorry", f);
-    std::fclose(f);
-    EXPECT_DEATH(loadTrace(path), "not an ASAP trace");
-    std::remove(path.c_str());
-}
 
 } // namespace
 } // namespace asap

@@ -4,8 +4,7 @@
  * stream purity and stream-vs-materialized byte-identity, fixed-seed
  * determinism across engine workers, Zipfian frequency sanity,
  * log-histogram percentile accuracy, the constant-memory buffer bound
- * and the materialization guardrail, and the daemon wire codec for
- * serve jobs and per-MC media lists.
+ * and the materialization guardrail.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "serve/zipf.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
-#include "svc/wire.hh"
 
 namespace asap
 {
@@ -277,46 +275,6 @@ TEST(ServeStreamDeathTest, MaterializeGuardrailFiresAtCap)
             materializeStream(s, 500);
         },
         "op cap");
-}
-
-// The daemon wire codec must round-trip serve jobs and heterogeneous
-// per-MC media lists, and reject unknown scenarios/profiles at the
-// wire instead of letting a worker fatal() on them.
-TEST(ServeWire, ServeJobsAndMediaPerMcRoundTrip)
-{
-    ExperimentJob job;
-    job.workload = "serve:tenant-mix";
-    job.cfg.numCores = 16;
-    job.cfg.numMCs = 4;
-    job.cfg.mediaPerMc = "paper-table2,cxl-dram";
-    job.params = serveParams(100);
-
-    const Json v = jobToJson(job);
-    Json parsed;
-    ASSERT_TRUE(Json::parse(v.dump(), parsed));
-    ExperimentJob back;
-    std::string why;
-    ASSERT_TRUE(jobFromJson(parsed, back, &why)) << why;
-    EXPECT_EQ(back.workload, job.workload);
-    EXPECT_EQ(back.cfg.mediaPerMc, job.cfg.mediaPerMc);
-    EXPECT_EQ(jobKey(back), jobKey(job));
-
-    Json bad = jobToJson(job);
-    bad.set("workload", Json::str("serve:no-such-scenario"));
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
-    EXPECT_NE(why.find("scenario"), std::string::npos);
-
-    bad = jobToJson(job);
-    Json cfg = bad.get("cfg");
-    cfg.set("mediaPerMc", Json::str("paper-table2,unobtainium"));
-    bad.set("cfg", cfg);
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
-
-    bad = jobToJson(job);
-    cfg = bad.get("cfg");
-    cfg.set("mediaPerMc", Json::str("paper-table2,"));
-    bad.set("cfg", cfg);
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
 }
 
 } // namespace asap
